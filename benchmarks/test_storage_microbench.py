@@ -75,7 +75,9 @@ def test_append_throughput_not_regressed():
     """Packed batch adoption must put segmented append ahead of flat:
     ``append_batch`` packs each 500-record batch once and adopts it by
     reference (one chunk append + prefix sums instead of 500 ``StoredRecord``
-    constructions).  Ratcheted to ≥ 1.1× after PR 6 measured 1.16×."""
+    constructions).  The ratio is recorded, not asserted: its 1.1× floor
+    sits inside one run's noise, so ``check_storage_floors.py`` (CI
+    ``microbench`` job) is the one gate and tier-1 stays deterministic."""
 
     def append_segmented():
         _fill(PartitionLog("bench", 0))
@@ -100,7 +102,6 @@ def test_append_throughput_not_regressed():
     RESULTS["append_batched"]["floor"] = 1.1
     print(f"\nBatched append: segmented {segmented:,.0f} ev/s, "
           f"flat {flat:,.0f} ev/s ({segmented / flat:.2f}x)")
-    assert segmented >= 1.1 * flat
 
 
 def test_fetch_throughput_not_regressed():
@@ -112,7 +113,8 @@ def test_fetch_throughput_not_regressed():
     parity): interleaved remeasurement puts the honest ratio at
     ~1.1–1.2× with ±0.15 run-to-run noise, so 1.15 sat inside the noise
     band.  (The 1.54× a sequential best-of once recorded was runner
-    noise flattering the segmented side.)"""
+    noise flattering the segmented side.)  Recorded, not asserted — the
+    floor is gated by ``check_storage_floors.py`` only (see above)."""
     segmented_log = _fill(PartitionLog("bench", 0))
     flat_log = _fill(FlatPartitionLog("bench", 0))
 
@@ -143,7 +145,6 @@ def test_fetch_throughput_not_regressed():
     RESULTS["fetch_paged"]["floor"] = 1.05
     print(f"\nPaged fetch: segmented {segmented:,.0f} rec/s, "
           f"flat {flat:,.0f} rec/s ({segmented / flat:.2f}x)")
-    assert segmented >= 1.05 * flat
 
 
 def test_time_retention_run_5x_faster():

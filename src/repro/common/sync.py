@@ -33,6 +33,7 @@ tests regardless of the global switch.
 
 from __future__ import annotations
 
+import itertools
 import os
 import threading
 import traceback
@@ -99,10 +100,14 @@ _tls = _ThreadState()
 # The sanitizer's own bookkeeping lock.  Never held while user code
 # runs, so it cannot participate in the cycles it is looking for.
 _graph_lock = threading.Lock()
-#: Lock-order edges: id(A) -> {id(B) -> (A.name, B.name, stack that
-#: recorded the edge)}.  Identity is per lock *instance* — the cycles a
-#: deadlock needs are between concrete locks, not lock classes.
+#: Lock-order edges: serial(A) -> {serial(B) -> (A.name, B.name, stack
+#: that recorded the edge)}.  Identity is per lock *instance* — the cycles
+#: a deadlock needs are between concrete locks, not lock classes — and by
+#: creation serial, never ``id()``: the graph outlives the locks, and a
+#: collected lock's address is handed to the next one created, which would
+#: inherit its edges and convict an order nobody took.
 _order_graph: Dict[int, Dict[int, Tuple[str, str, str]]] = {}
+_serials = itertools.count()
 _blocking_reports: List[BlockingWhileLocked] = []
 
 
@@ -146,13 +151,13 @@ def _check_order(lock: "_SanitizedBase") -> None:
     held = _tls.held
     if not held:
         return
-    acquiring = id(lock)
+    acquiring = lock._serial
     stack = _capture_stack(skip=3)
     with _graph_lock:
         for held_lock, _held_stack in held:
             if held_lock is lock:
                 continue  # reentrancy is the RLock wrapper's business
-            holder = id(held_lock)
+            holder = held_lock._serial
             evidence = _path_exists(acquiring, holder)
             if evidence is not None:
                 first_name, second_name, recorded = evidence
@@ -175,10 +180,11 @@ def _check_order(lock: "_SanitizedBase") -> None:
 class _SanitizedBase:
     """Shared acquire/release instrumentation for both wrappers."""
 
-    __slots__ = ("_inner", "name")
+    __slots__ = ("_inner", "name", "_serial")
 
     def __init__(self, inner, name: Optional[str]) -> None:
         self._inner = inner
+        self._serial = next(_serials)
         if name is None:
             # Default identity: the creation site, which is how a human
             # maps a report back to a `create_lock()` call.

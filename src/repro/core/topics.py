@@ -137,7 +137,7 @@ class TopicService:
     def describe_topic(self, principal: str, topic: str) -> dict:
         """``GET /topic/<topic>``: configuration and status of one topic."""
         self._require_access(principal, topic, Operation.DESCRIBE)
-        description = self.cluster.topic(topic).describe()
+        description = self.cluster.admin().describe_topic(topic)
         description["owner"] = self.metadata.topic_owner(topic)
         description["acl"] = self.metadata.acl(topic)
         return description

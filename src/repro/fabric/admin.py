@@ -14,10 +14,6 @@ Like Kafka's ``AdminClient``, a :class:`FabricAdmin` is a *view* onto a
 cluster rather than a separate server: it is cheap to construct, several
 may exist per cluster (e.g. one per principal), and all of them mutate
 the same underlying metadata under the cluster's lock.
-
-The old ``FabricCluster`` control-plane methods still work but emit
-:class:`DeprecationWarning` and delegate here; see the README migration
-table.
 """
 
 from __future__ import annotations
@@ -28,7 +24,6 @@ from repro.fabric.errors import (
     AuthorizationError,
     TopicAlreadyExistsError,
     UnknownBrokerError,
-    UnknownPartitionError,
     UnknownTopicError,
 )
 from repro.fabric.record import StoredRecord
@@ -98,7 +93,7 @@ class FabricAdmin:
                 raise TopicAlreadyExistsError(f"topic {name!r} already exists")
             if config.replication_factor > len(c._brokers):
                 config = config.with_updates(replication_factor=len(c._brokers))
-            topic = Topic(name=name, config=config, clock=c.clock)
+            topic = Topic(name=name, config=config)
             c._topics[name] = topic
             for partition in range(config.num_partitions):
                 self._place_partition(topic, partition)
@@ -193,23 +188,42 @@ class FabricAdmin:
     # Retention
     # ------------------------------------------------------------------ #
     def run_retention(self, topic_name: Optional[str] = None) -> Dict[str, Dict[int, int]]:
-        """Run retention/compaction on one topic or every topic."""
+        """Run retention/compaction on one topic or every topic.
+
+        The cleanup policy is applied to each partition's *leader* log —
+        the log consumers are served from — and the removed counts are
+        the leader's.  The other online replicas follow: they truncate to
+        the leader's new log start, and under ``compact`` each runs its
+        own compaction pass (as Kafka's cleaner does per replica).  An
+        offline replica is aligned when it next replicates.
+        """
         self._authorize("RUN_RETENTION", f"topic:{topic_name}" if topic_name else "cluster")
         c = self._cluster
         with c._lock:
             names = [topic_name] if topic_name else list(c._topics)
         removed: Dict[str, Dict[int, int]] = {}
         for name in names:
-            removed[name] = c._retention.enforce(c.topic(name))
-            # Propagate truncation to broker replicas so fetches agree.
+            config = c.topic(name).config
+            removed[name] = {}
             for assignment in c._replication.assignments_for_topic(name):
-                canonical = c.topic(name).partition(assignment.partition)
+                partition = assignment.partition
+                leader_log = c._online_leader_log(assignment)
+                if leader_log is None:
+                    removed[name][partition] = 0  # no online replica to clean
+                    continue
+                removed[name][partition] = c._retention.enforce(config, leader_log)
                 for broker_id in assignment.replicas:
                     broker = c._brokers[broker_id]
-                    if broker.online and broker.has_replica(name, assignment.partition):
-                        broker.replica(name, assignment.partition).truncate_before(
-                            canonical.log_start_offset
-                        )
+                    if (
+                        broker_id != assignment.leader
+                        and broker.online
+                        and broker.has_replica(name, partition)
+                    ):
+                        follower_log = broker.replica(name, partition)
+                        if config.cleanup_policy == "compact":
+                            follower_log.compact()
+                        else:
+                            follower_log.truncate_before(leader_log.log_start_offset)
         return removed
 
     # ------------------------------------------------------------------ #
@@ -254,11 +268,30 @@ class FabricAdmin:
             }
 
     def describe_topic(self, name: str) -> dict:
+        """Topic description as returned by ``GET /topic/<topic>``.
+
+        ``end_offsets`` and ``total_records`` are read from each
+        partition's leader log; a partition with no online replica
+        reports end offset ``0``, like :meth:`FabricCluster.end_offsets`.
+        """
         self._authorize("DESCRIBE", f"topic:{name}")
-        return self._cluster.topic(name).describe()
+        c = self._cluster
+        description = c.topic(name).describe()
+        logs = {
+            assignment.partition: c._online_leader_log(assignment)
+            for assignment in c._replication.assignments_for_topic(name)
+        }
+        description["end_offsets"] = {
+            index: log.log_end_offset if log is not None else 0
+            for index, log in logs.items()
+        }
+        description["total_records"] = sum(
+            len(log) for log in logs.values() if log is not None
+        )
+        return description
 
     def describe_segments(self, name: str, partition: Optional[int] = None) -> dict:
-        """Per-partition storage-segment layout of a topic's canonical logs.
+        """Per-partition storage-segment layout of a topic's leader logs.
 
         Returns, per partition, the log start/end offsets, retained byte
         counts — ``size_bytes`` is *physical* (compressed chunks at their
@@ -273,40 +306,30 @@ class FabricAdmin:
         ``isr`` and the leader log's ``high_watermark`` — so the failover
         state (who leads, under which fencing epoch, how far committed
         reads go) is inspectable from the same call.  Pass ``partition``
-        to restrict the answer to one partition.
+        to restrict the answer to one partition.  The layout is that of
+        the serving log, so a partition with no online replica raises
+        :class:`~repro.fabric.errors.BrokerUnavailableError`.
         """
         self._authorize("DESCRIBE", f"topic:{name}")
         c = self._cluster
         topic = c.topic(name)
-        indices = [partition] if partition is not None else sorted(topic.partitions())
+        indices = [partition] if partition is not None else range(topic.num_partitions)
         partitions = {}
         for index in indices:
-            log = topic.partition(index)
-            entry = {
+            log = c._leader_for(name, index).replica(name, index)
+            assignment = c._replication.assignment(name, index)
+            partitions[index] = {
                 "log_start_offset": log.log_start_offset,
                 "log_end_offset": log.log_end_offset,
                 "size_bytes": log.size_bytes,
                 "logical_size_bytes": log.logical_size_bytes,
                 "num_segments": log.num_segments,
                 "segments": log.describe_segments(),
+                "leader": assignment.leader,
+                "leader_epoch": assignment.leader_epoch,
+                "isr": list(assignment.isr),
+                "high_watermark": log.high_watermark,
             }
-            try:
-                assignment = c._replication.assignment(name, index)
-            except UnknownPartitionError:
-                assignment = None  # canonical-only topic: no placement yet
-            if assignment is not None:
-                entry["leader"] = assignment.leader
-                entry["leader_epoch"] = assignment.leader_epoch
-                entry["isr"] = list(assignment.isr)
-                leader_broker = c._brokers.get(assignment.leader)
-                entry["high_watermark"] = (
-                    leader_broker.replica(name, index).high_watermark
-                    if leader_broker is not None
-                    and leader_broker.online
-                    and leader_broker.has_replica(name, index)
-                    else None
-                )
-            partitions[index] = entry
         return {"topic": name, "partitions": partitions}
 
     def list_topics(self) -> List[str]:

@@ -16,12 +16,7 @@ from repro.common.clock import Clock
 from repro.common.sync import create_rlock
 from repro.fabric.errors import BrokerUnavailableError, UnknownPartitionError
 from repro.fabric.partition import PartitionLog
-from repro.fabric.record import (
-    EventRecord,
-    PackedRecordBatch,
-    PackedView,
-    StoredRecord,
-)
+from repro.fabric.record import PackedRecordBatch, PackedView, StoredRecord
 
 
 @dataclass(frozen=True)
@@ -201,20 +196,6 @@ class Broker:
     # ------------------------------------------------------------------ #
     # Data plane
     # ------------------------------------------------------------------ #
-    def append(
-        self, topic: str, partition: int, record: EventRecord
-    ) -> int:
-        """Append to the local replica (leader path)."""
-        self._check_online()
-        return self.replica(topic, partition).append(record)
-
-    def append_batch(
-        self, topic: str, partition: int, records: Iterable[EventRecord]
-    ) -> list[int]:
-        """Append a whole batch to the local replica (leader batch path)."""
-        self._check_online()
-        return self.replica(topic, partition).append_batch(records)
-
     def append_packed(
         self,
         topic: str,
@@ -228,7 +209,7 @@ class Broker:
         This is the one-encode leader path: the batch object the producer
         sealed becomes the log's storage chunk directly, and the returned
         offset-stamped form (sharing its records and payload) is what the
-        cluster forwards to the canonical partition and persistence sinks.
+        cluster forwards to persistence sinks and producer metadata.
 
         ``leader_epoch`` fences the write: an epoch older than the log
         has seen raises :class:`FencedLeaderError` before any record is

@@ -12,9 +12,11 @@ Produce is *one-encode*: :meth:`FabricCluster.append_batch` packs the
 records once (or accepts a producer-sealed
 :class:`~repro.fabric.record.PackedRecordBatch`), the leader log adopts
 the packed batch by reference, and the offset-stamped result — still
-sharing the same record tuple and payload — is forwarded to the
-canonical partition view, persistence sinks and producer metadata
-without re-materialising a single record.
+sharing the same record tuple and payload — is forwarded to persistence
+sinks and producer metadata without re-materialising a single record.
+The leader replica *is* the partition: retention, compaction and every
+``describe_*`` call operate on the log that is served, and followers
+receive the leader's chunks (and its log start) through replication.
 
 Per-topic authorization is delegated to an optional
 :class:`~repro.auth.acl.AclStore`-compatible authorizer, matching how MSK
@@ -44,7 +46,7 @@ from typing import (
 )
 
 from repro.common.clock import Clock, SystemClock
-from repro.common.sync import create_lock, create_rlock
+from repro.common.sync import create_rlock
 from repro.fabric.broker import Broker, BrokerSpec
 from repro.fabric.errors import (
     AuthorizationError,
@@ -278,7 +280,6 @@ class FabricCluster:
         self._groups = ConsumerGroupCoordinator(clock=self._clock)
         self._retention = RetentionEnforcer(now_fn=self._clock.now)
         self._authorizer: Authorizer = authorizer or _allow_all
-        self._append_locks: Dict[Tuple[str, int], threading.Lock] = {}
         self._placement_cursor = 0
         self._persistence_sinks: List[Callable[[str, int, StoredRecord], None]] = []
         self._metadata_epoch = 0
@@ -575,15 +576,16 @@ class FabricCluster:
         """Append pre-packed batches under one authorization/leader round.
 
         The zero-copy forwarding entry point (packed produce, MirrorMaker):
-        each chunk is adopted by the leader log *by reference*, and the
-        offset-stamped result — still sharing the caller's record tuple
-        and payload bytes — is mirrored into the canonical partition view
-        and persistence sinks without re-encoding anything.
+        each chunk is adopted by the leader log *by reference* — the leader
+        replica is the partition, nothing else stores the batch until
+        replication hands the same chunks to the followers — and the
+        offset-stamped result, still sharing the caller's record tuple and
+        payload bytes, feeds persistence sinks and producer metadata
+        without re-encoding anything.
         """
         self._authorize(principal, "WRITE", topic_name)
         topic = self.topic(topic_name)
-        canonical = topic.partition(partition)  # validates the partition exists
-        leader = self._leader_for(topic_name, partition)
+        leader = self._leader_for(topic_name, partition)  # unknown partition raises
         # Snapshot the leader epoch *after* leader resolution (which may
         # have elected): the epoch fences this produce — if leadership
         # moves concurrently, the stale append raises a retriable
@@ -592,7 +594,7 @@ class FabricCluster:
         if len(chunks) > 1:
             # Validate every chunk up front so a multi-chunk forward stays
             # atomic: the single-chunk path validates inside append_packed.
-            limit = canonical.max_message_bytes
+            limit = leader.replica(topic_name, partition).max_message_bytes
             for chunk in chunks:
                 oversize = chunk.check_max_record_size(limit)
                 if oversize is not None:
@@ -600,29 +602,14 @@ class FabricCluster:
                         f"record of {oversize} B exceeds "
                         f"max.message.bytes={limit} for {topic_name}-{partition}"
                     )
-        with self._lock:
-            append_lock = self._append_locks.setdefault(
-                (topic_name, partition),
-                create_lock(f"append[{topic_name}-{partition}]"),
+        # Each chunk's append is atomic under the leader log's own lock.
+        stamped_chunks = [
+            leader.append_packed(
+                topic_name, partition, chunk, leader_epoch=leader_epoch
             )
-        # The per-partition lock makes leader append + canonical mirror one
-        # atomic step: without it a concurrent producer could mirror a later
-        # batch first, leaving this batch permanently absent from the
-        # canonical view that retention and metrics operate on.
-        stamped_chunks: List[PackedRecordBatch] = []
-        with append_lock:
-            for chunk in chunks:
-                if len(chunk) == 0:
-                    continue
-                stamped = leader.append_packed(
-                    topic_name, partition, chunk, leader_epoch=leader_epoch
-                )
-                stamped_chunks.append(stamped)
-                # Mirror into the logical topic view by reference: the
-                # canonical log adopts the leader's packed chunk directly,
-                # skipping any prefix it already holds.
-                if canonical.log_end_offset < stamped.end_offset:
-                    canonical.append_stored(stamped)
+            for chunk in chunks
+            if len(chunk)
+        ]
         if not stamped_chunks:
             return []
         try:

@@ -225,9 +225,15 @@ class FabricConsumer:
         if self.config.auto_offset_reset == "latest":
             return self._cluster.end_offset(topic, partition)
         if self.config.auto_offset_reset == "timestamp":
-            log = self._cluster.topic(topic).partition(partition)
-            offset = log.offset_for_timestamp(self.config.start_timestamp or 0.0)
-            return offset if offset is not None else log.log_end_offset
+            # end_offset resolves the serving leader (electing if the
+            # registered one is down), so the lookup below hits the log
+            # this consumer will be fetching from.
+            end = self._cluster.end_offset(topic, partition)
+            leader = self._cluster.replication.assignment(topic, partition).leader
+            offset = self._cluster.brokers[leader].replica(
+                topic, partition
+            ).offset_for_timestamp(self.config.start_timestamp or 0.0)
+            return offset if offset is not None else end
         return self._cluster.beginning_offset(topic, partition)  # earliest
 
     def position(self, topic: str, partition: int) -> int:

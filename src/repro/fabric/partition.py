@@ -459,9 +459,9 @@ class PartitionLog:
         """First offset *not* safe to serve to committed readers.
 
         Replication advances it to the min fully-ISR-replicated offset;
-        a log nothing replicates (``None`` sentinel — standalone tests,
-        canonical mirrors) reports its log end, the pre-HW behaviour.
-        Clamped to the log end so truncation can never leave it dangling.
+        a log nothing replicates (``None`` sentinel — standalone use)
+        reports its log end, the pre-HW behaviour.  Clamped to the log
+        end so truncation can never leave it dangling.
         """
         hw = self._high_watermark
         end = self._next_offset
@@ -588,41 +588,18 @@ class PartitionLog:
     # ------------------------------------------------------------------ #
     def append(self, record: EventRecord, append_time: Optional[float] = None) -> int:
         """Append ``record`` and return the offset it was assigned."""
-        size = record.size_bytes()
-        if size > self.max_message_bytes:
-            raise RecordTooLargeError(
-                f"record of {size} B exceeds max.message.bytes="
-                f"{self.max_message_bytes} for {self.topic}-{self.partition}"
-            )
-        with self._lock:
-            offset = self._next_offset
-            stored = StoredRecord(
-                offset=offset,
-                record=record,
-                append_time=self._assign_time_locked(append_time),
-            )
-            active = self._segments[-1]
-            if self._should_roll(active):
-                active = self._roll_active(offset)
-            active.append(stored)
-            self._next_offset = offset + 1
-            self._total_appended += 1
-            self._total_bytes += size
-            return offset
+        packed = PackedRecordBatch.from_events([record])
+        return self.append_packed(packed, append_time).base_offset
 
     def append_batch(
         self,
         records: Union[Iterable[EventRecord], PackedRecordBatch],
         append_time: Optional[float] = None,
     ) -> list[int]:
-        """Append every record under one lock acquisition; return their offsets.
+        """Append every record atomically; return their offsets.
 
-        The batch is atomic: sizes are validated up front, so either every
-        record receives a contiguous offset or none does.  This is the leader
-        half of the batched produce path — an already-packed batch (or one
-        packed here) is adopted as segment chunks *by reference*, one lock
-        round-trip and zero per-record materialisation; oversize batches
-        roll segments as they go.
+        Plain records are packed here, once; an already-packed batch goes
+        to :meth:`append_packed` as it is.
         """
         if not isinstance(records, PackedRecordBatch):
             records = PackedRecordBatch.from_events(list(records))
@@ -634,15 +611,16 @@ class PartitionLog:
         packed: PackedRecordBatch,
         append_time: Optional[float] = None,
     ) -> "PackedRecordBatch":
-        """Adopt a packed batch under leader-assigned offsets.
+        """Leader path: stamp a packed batch with the next offsets and adopt it.
 
-        Returns the restamped batch (sharing the caller's records and
-        payload) so the produce path can forward the *same* object to the
-        canonical partition, persistence sinks and producer metadata
-        without re-reading the log.  Batches below the chunk-size floor
-        devolve to the per-record tail path.
+        The batch is atomic: CRC and record sizes are validated up front,
+        so either every record receives a contiguous offset or none does.
+        Storage placement is :meth:`append_stored`'s — the same adoption
+        followers run on the stamped result.  Returns the restamped batch
+        (sharing the caller's records and payload) so the produce path can
+        forward the *same* object to persistence sinks and producer
+        metadata without re-reading the log.
         """
-        length = len(packed)
         # Ingress integrity: a CRC-stamped batch is verified before any of
         # it is admitted (memoized — cheap for batches this process sealed).
         packed.verify_crc()
@@ -653,22 +631,12 @@ class PartitionLog:
                 f"{self.max_message_bytes} for {self.topic}-{self.partition}"
             )
         with self._lock:
-            if length == 0:
+            if len(packed) == 0:
                 return packed.with_offsets(self._next_offset, self._last_append_time)
-            when = self._assign_time_locked(append_time)
-            base = self._next_offset
-            stamped = packed.with_offsets(base, when)
-            if length < _MIN_CHUNK_RECORDS:
-                active = self._segments[-1]
-                for index in range(length):
-                    if self._should_roll(active):
-                        active = self._roll_active(base + index)
-                    active.append(stamped.stored_at(index))
-            else:
-                self._place_chunk(stamped)
-            self._next_offset = base + length
-            self._total_appended += length
-            self._total_bytes += stamped.size_bytes
+            stamped = packed.with_offsets(
+                self._next_offset, self._assign_time_locked(append_time)
+            )
+            self.append_stored(stamped)
             return stamped
 
     def _chunk_take(
@@ -716,13 +684,16 @@ class PartitionLog:
         self,
         records: Union[Iterable[StoredRecord], PackedRecordBatch, PackedView],
     ) -> int:
-        """Follower path: adopt leader-assigned offsets for missing records.
+        """Adopt offset-stamped records: the one body that places records
+        into segments — followers call it with the leader's chunks, the
+        leader path (:meth:`append_packed`) with the batch it just stamped.
 
-        Records at offsets the replica already holds are skipped; the rest
-        are appended under one lock acquisition, preserving the leader's
+        Records at offsets the log already holds are skipped; the rest
+        are appended under one lock acquisition, preserving their
         offsets.  Packed chunks (what a leader fetch view carries) are
         adopted *by reference* — sliced, never re-encoded — so replication
-        and canonical mirroring forward the leader's bytes verbatim.  A
+        forwards the leader's bytes verbatim; runs below the chunk-size
+        floor devolve to the per-record tail path.  A
         leader-side compaction gap rolls the active segment so the active
         segment stays offset-contiguous (gaps live only between segments
         or inside sealed chunks' offset tables).  Returns the new log end
@@ -856,10 +827,10 @@ class PartitionLog:
         """
         # Committed readers stop at the high watermark; ``hw`` stays
         # ``None`` (no bound) for uncommitted readers and for unmanaged
-        # logs (nothing replicates them — standalone use, canonical
-        # mirrors).  The common committed-unmanaged path must cost one
-        # string compare and one attribute load: the fetch bench floor
-        # measures exactly this loop against the flat log.
+        # logs (nothing replicates them — standalone use).  The common
+        # committed-unmanaged path must cost one string compare and one
+        # attribute load: the fetch bench floor measures exactly this loop
+        # against the flat log.
         if isolation == "committed":
             hw = self._high_watermark
         elif isolation == "uncommitted":

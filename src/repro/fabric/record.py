@@ -425,8 +425,8 @@ class PackedRecordBatch:
 
     See the module docstring for the wire layout.  Instances are created
     once (producer seal, tail seal, follower adoption) and then shared by
-    reference across the leader log, the canonical partition, every
-    follower replica and any fetch view — nothing downstream re-encodes
+    reference across the leader log, every follower replica and any
+    fetch view — nothing downstream re-encodes
     or copies the records.  All derived forms (:meth:`slice`,
     :meth:`with_offsets`, :meth:`with_header_overlay`) share the decoded
     record tuple, the size columns and the payload bytes of the parent.
@@ -567,8 +567,8 @@ class PackedRecordBatch:
         """Check the sealed body against the stamped CRC32.
 
         No-op for batches without a sealed wire body or CRC (in-process
-        batches).  The result is memoized — broker ingress and the
-        canonical-mirror adoption together verify once — unless ``force``
+        batches).  The result is memoized — leader ingress and every
+        follower adoption together verify once — unless ``force``
         is given, which the first-decode path uses so corruption that
         happened *after* ingress is still caught before any record is
         served.  Raises :class:`CorruptBatchError` on mismatch.

@@ -199,27 +199,36 @@ class ReplicationManager:
                 segment_records=leader_log.segment_records,
                 segment_bytes=leader_log.segment_bytes,
             )
-            if follower_log.leader_epoch < epoch and (
-                follower_log.log_end_offset
+            leader_start = leader_log.log_start_offset
+            if follower_log.log_end_offset < leader_start or (
+                follower_log.leader_epoch < epoch
+                and follower_log.log_end_offset
                 > self._fork_point(leader_log, follower_log.leader_epoch)
             ):
-                # The follower missed at least one election and its log
-                # runs past the point where the first epoch it never saw
-                # began: that suffix was written by a deposed leader and
-                # conflicts with this leader's history offset for offset,
-                # even though end-offset catch-up alone would line the
-                # logs up (a silent fork).  Suffixes live inside sealed
-                # packed chunks, which cannot be split, so rebuild the
-                # replica wholesale from the leader's copy.
+                # Two logs that cannot be extended and are rebuilt
+                # wholesale from the leader's copy.  (1) Retention on the
+                # leader has moved past everything this follower holds.
+                # (2) The follower missed at least one election and its
+                # log runs past the point where the first epoch it never
+                # saw began: that suffix was written by a deposed leader
+                # and conflicts with this leader's history offset for
+                # offset, even though end-offset catch-up alone would line
+                # the logs up (a silent fork); suffixes live inside sealed
+                # packed chunks, which cannot be split.
                 follower_log = follower.reset_replica(
                     topic,
                     partition,
                     max_message_bytes=leader_log.max_message_bytes,
                     segment_records=leader_log.segment_records,
                     segment_bytes=leader_log.segment_bytes,
-                    log_start_offset=leader_log.log_start_offset,
+                    log_start_offset=leader_start,
                 )
                 follower_log.note_leader_epoch(epoch)
+            elif follower_log.log_start_offset < leader_start:
+                # Retention ran on the leader while this follower was
+                # offline: drop the deleted prefix here too, or electing
+                # this follower would bring those records back.
+                follower_log.truncate_before(leader_start)
             start = follower_log.log_end_offset
             if start < leader_end:
                 # ``missing`` is a packed view sharing the leader's sealed

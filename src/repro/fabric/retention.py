@@ -2,8 +2,9 @@
 
 The paper's default is seven-day time-based retention (Section IV-F);
 users can adjust retention and enable compaction through the Octopus Web
-Service.  The :class:`RetentionEnforcer` walks topic partitions and applies
-whichever policy the topic is configured with.
+Service.  The :class:`RetentionEnforcer` applies whichever policy the
+topic is configured with to a partition log; ``FabricAdmin.run_retention``
+points it at each partition's leader replica.
 
 Every policy here rides the segmented storage layer
 (:mod:`repro.fabric.partition`): cutoffs are found from per-segment
@@ -15,11 +16,11 @@ old O(retained records) walk over a full ``read_all()`` copy.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Optional
 
 from repro.common.clock import SystemClock
 from repro.fabric.partition import PartitionLog
-from repro.fabric.topic import Topic
+from repro.fabric.topic import TopicConfig
 
 
 def enforce_time_retention(
@@ -66,25 +67,20 @@ def compact(log: PartitionLog) -> int:
 
 
 class RetentionEnforcer:
-    """Applies a topic's cleanup policy across all of its partitions."""
+    """Applies a topic's cleanup policy to one partition log."""
 
     def __init__(self, now_fn: Optional[Callable[[], float]] = None) -> None:
         self._now_fn = now_fn if now_fn is not None else SystemClock().now
 
-    def enforce(self, topic: Topic) -> Dict[int, int]:
-        """Run retention/compaction on ``topic``; return removed counts per partition."""
-        removed: Dict[int, int] = {}
-        config = topic.config
-        for index, log in topic.partitions().items():
-            count = 0
-            if config.cleanup_policy == "compact":
-                count += compact(log)
-            else:
-                if config.retention_seconds is not None:
-                    count += enforce_time_retention(
-                        log, config.retention_seconds, now=self._now_fn()
-                    )
-                if config.retention_bytes is not None:
-                    count += enforce_size_retention(log, config.retention_bytes)
-            removed[index] = count
+    def enforce(self, config: TopicConfig, log: PartitionLog) -> int:
+        """Run ``config``'s retention/compaction on ``log``; return records removed."""
+        if config.cleanup_policy == "compact":
+            return compact(log)
+        removed = 0
+        if config.retention_seconds is not None:
+            removed += enforce_time_retention(
+                log, config.retention_seconds, now=self._now_fn()
+            )
+        if config.retention_bytes is not None:
+            removed += enforce_size_retention(log, config.retention_bytes)
         return removed

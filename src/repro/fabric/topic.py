@@ -2,20 +2,19 @@
 
 The Octopus Web Service provisions topics on behalf of users and lets them
 set the replication factor, retention policy and partition count
-(Section IV-B).  A :class:`Topic` here is the broker-side object holding
-those settings and the per-partition logs; access control lives in
+(Section IV-B).  A :class:`Topic` here is the metadata object holding
+those settings; the records live in the brokers' partition replicas
+(:mod:`repro.fabric.broker`), and access control lives in
 :mod:`repro.auth.acl` and is enforced by the cluster front end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional
+from typing import Optional
 
-from repro.common.clock import Clock
 from repro.common.sync import create_rlock
-from repro.fabric.errors import InvalidConfigError, UnknownPartitionError
-from repro.fabric.partition import PartitionLog
+from repro.fabric.errors import InvalidConfigError
 
 #: Default retention period (seconds) — the paper states messages are kept
 #: for seven days by default (Section IV-F).
@@ -129,53 +128,31 @@ class TopicConfig:
 
 @dataclass
 class Topic:
-    """A named topic and its partition logs."""
+    """A named topic: its configuration and partition count.
+
+    The records live in the partition replicas on the brokers (the leader
+    replica *is* the partition); a topic owns no log of its own.
+    """
 
     name: str
     config: TopicConfig = field(default_factory=TopicConfig)
-    #: Clock handed to every partition log (``None`` = wall clock).
-    clock: Optional[Clock] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.config.validate()
         self._lock = create_rlock(f"Topic[{self.name}]")
-        self._partitions: Dict[int, PartitionLog] = {  #: guarded_by _lock
-            index: PartitionLog(
-                self.name, index, clock=self.clock, **self.config.log_kwargs()
-            )
-            for index in range(self.config.num_partitions)
-        }
 
     # ------------------------------------------------------------------ #
     @property
     def num_partitions(self) -> int:
-        with self._lock:
-            return len(self._partitions)
-
-    def partition(self, index: int) -> PartitionLog:
-        with self._lock:
-            try:
-                return self._partitions[index]
-            except KeyError:
-                raise UnknownPartitionError(
-                    f"topic {self.name!r} has no partition {index}"
-                ) from None
-
-    def partitions(self) -> Dict[int, PartitionLog]:
-        with self._lock:
-            return dict(self._partitions)
+        return self.config.num_partitions
 
     def add_partitions(self, new_total: int) -> None:
         """Grow the topic to ``new_total`` partitions (shrinking is illegal)."""
         with self._lock:
-            current = len(self._partitions)
+            current = self.config.num_partitions
             if new_total < current:
                 raise InvalidConfigError(
                     f"cannot reduce partitions from {current} to {new_total}"
-                )
-            for index in range(current, new_total):
-                self._partitions[index] = PartitionLog(
-                    self.name, index, clock=self.clock, **self.config.log_kwargs()
                 )
             self.config = self.config.with_updates(num_partitions=new_total)
 
@@ -184,26 +161,11 @@ class Topic:
         with self._lock:
             new_partitions = updates.pop("num_partitions", None)
             self.config = self.config.with_updates(**updates)
-            if new_partitions is not None and new_partitions != len(self._partitions):
+            if new_partitions is not None:
                 self.add_partitions(new_partitions)
             return self.config
 
-    # ------------------------------------------------------------------ #
-    def total_records(self) -> int:
-        """Records currently retained across partitions."""
-        return sum(len(p) for p in self.partitions().values())
-
-    def total_appended(self) -> int:
-        return sum(p.total_appended for p in self.partitions().values())
-
-    def end_offsets(self) -> Dict[int, int]:
-        return {i: p.log_end_offset for i, p in self.partitions().items()}
-
     def describe(self) -> dict:
-        """Topic description as returned by ``GET /topic/<topic>``."""
-        return {
-            "name": self.name,
-            "config": self.config.to_dict(),
-            "end_offsets": self.end_offsets(),
-            "total_records": self.total_records(),
-        }
+        """Name and configuration; :meth:`FabricAdmin.describe_topic` adds
+        the offsets and record counts read from the leader replicas."""
+        return {"name": self.name, "config": self.config.to_dict()}

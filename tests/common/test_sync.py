@@ -121,6 +121,26 @@ class TestInversionDetection:
             t.join()
         assert errors == []
 
+    def test_collected_lock_does_not_bequeath_its_edges(self):
+        """The order graph outlives the locks; a new lock allocated at a
+        collected lock's address must not inherit its recorded orders
+        (Hypothesis builds a fresh cluster per example in one test)."""
+        for _ in range(200):
+            a = SanitizedLock("gone-A")
+            b = SanitizedLock("gone-B")
+            with a:
+                with b:
+                    pass
+            del a, b
+            c = SanitizedLock("new-C")
+            d = SanitizedLock("new-D")
+            with c:
+                with d:
+                    pass
+            with SanitizedLock("new-E"):
+                with c:
+                    pass
+
     def test_reset_clears_recorded_orders(self):
         a = SanitizedLock("r-A")
         b = SanitizedLock("r-B")

@@ -62,9 +62,13 @@ class TestClusterAppendBatch:
             assert log.log_end_offset == 7
             assert [s.value for s in log.read_all()] == list(range(7))
 
-    def test_batch_mirrors_into_canonical_topic_view(self, cluster):
+    def test_batch_lands_on_the_leader_replica_that_describe_reads(self, cluster):
         cluster.append_batch("events", 2, [EventRecord(value=i) for i in range(5)])
-        assert cluster.topic("events").partition(2).log_end_offset == 5
+        leader = cluster.replication.assignment("events", 2).leader
+        assert cluster.brokers[leader].replica("events", 2).log_end_offset == 5
+        described = cluster.admin().describe_topic("events")
+        assert described["end_offsets"][2] == 5
+        assert described["total_records"] == 5
 
     def test_persistence_sink_sees_every_record_once(self):
         cluster = FabricCluster(num_brokers=1)
@@ -206,10 +210,13 @@ class TestProducerBatching:
 # Concurrency and metadata refresh
 # --------------------------------------------------------------------------- #
 class TestConcurrentProducers:
-    def test_canonical_mirror_survives_concurrent_batches(self, cluster):
-        """Concurrent producers appending batches to one partition must
-        leave the canonical topic view complete (the mirror is locked
-        per partition, so no batch can be skipped by a later one)."""
+    def test_concurrent_batches_leave_the_leader_log_contiguous_and_complete(
+        self, cluster
+    ):
+        """More producers than cores appending batches to one partition:
+        the leader log's own lock must hand out contiguous offsets with no
+        batch lost, interleaved or reordered within a producer."""
+        import sys
         import threading
 
         def produce(worker):
@@ -221,15 +228,30 @@ class TestConcurrentProducers:
             producer.flush()
 
         threads = [threading.Thread(target=produce, args=(w,)) for w in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        canonical = cluster.topic("events").partition(0)
-        leader_end = cluster.end_offsets("events")[0]
-        assert leader_end == 8 * 20
-        assert canonical.log_end_offset == leader_end
-        assert len(canonical.read_all()) == leader_end
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assignment = cluster.replication.assignment("events", 0)
+        leader_log = cluster.brokers[assignment.leader].replica("events", 0)
+        stored = leader_log.read_all()
+        assert cluster.end_offsets("events")[0] == 8 * 20
+        assert [s.offset for s in stored] == list(range(8 * 20))
+        for worker in range(8):
+            assert [
+                s.value["i"] for s in stored if s.value["w"] == worker
+            ] == list(range(20))
+        for broker_id in assignment.replicas:
+            follower_log = cluster.brokers[broker_id].replica("events", 0)
+            assert [s.value for s in follower_log.read_all()] == [
+                s.value for s in stored
+            ]
 
     def test_keyed_records_see_partition_growth_after_metadata_age(self, cluster):
         producer = FabricProducer(

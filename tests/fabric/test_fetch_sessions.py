@@ -482,8 +482,10 @@ class TestSinglePartitionOffsets:
     def test_beginning_offset_after_retention(self):
         cluster = make_cluster(partitions=1)
         fill(cluster, "events", 0, 5)
-        cluster.topic("events").partition(0).truncate_before(3)
+        leader = cluster.replication.assignment("events", 0).leader
+        cluster.brokers[leader].replica("events", 0).truncate_before(3)
         cluster.admin().run_retention("events")
+        assert cluster.beginning_offset("events", 0) == 3
         assert cluster.beginning_offset("events", 0) == cluster.beginning_offsets(
             "events"
         )[0]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.fabric.broker import Broker, BrokerSpec
 from repro.fabric.cluster import FabricCluster
 from repro.fabric.errors import UnknownTopicError
 from repro.fabric.mirrormaker import MirrorMaker
@@ -13,7 +14,7 @@ from repro.fabric.retention import (
     enforce_size_retention,
     enforce_time_retention,
 )
-from repro.fabric.topic import Topic, TopicConfig
+from repro.fabric.topic import TopicConfig
 
 
 class TestTimeRetention:
@@ -73,22 +74,21 @@ class TestCompaction:
         assert [r.value for r in log.read_all()] == ["a", "c"]
 
     def test_enforcer_dispatches_on_cleanup_policy(self):
-        topic = Topic("t", TopicConfig(cleanup_policy="compact"))
-        log = topic.partition(0)
+        log = Broker(BrokerSpec(broker_id=0)).create_replica("t", 0)
         for i in range(4):
             log.append(EventRecord(value=i, key="same"))
-        removed = RetentionEnforcer().enforce(topic)
-        assert removed[0] == 3
+        removed = RetentionEnforcer().enforce(
+            TopicConfig(cleanup_policy="compact"), log
+        )
+        assert removed == 3
 
     def test_enforcer_applies_time_and_size_policies(self):
-        topic = Topic(
-            "t", TopicConfig(retention_seconds=1.0, retention_bytes=150)
-        )
-        log = topic.partition(0)
+        log = Broker(BrokerSpec(broker_id=0)).create_replica("t", 0)
         for i in range(5):
             log.append(EventRecord(value=b"x" * 76), append_time=0.0)
         enforcer = RetentionEnforcer(now_fn=lambda: 1000.0)
-        assert enforcer.enforce(topic)[0] == 5
+        config = TopicConfig(retention_seconds=1.0, retention_bytes=150)
+        assert enforcer.enforce(config, log) == 5
 
 
 class TestMirrorMaker:

@@ -278,21 +278,25 @@ class TestSegmentConfigPlumbing:
         with pytest.raises(ValueError):
             PartitionLog("t", 0, segment_records=0)
 
-    def test_topic_segment_config_reaches_canonical_and_replica_logs(self):
+    def test_topic_segment_config_reaches_every_replica_log(self):
         cluster = FabricCluster(num_brokers=2)
         cluster.admin().create_topic(
             "seg", TopicConfig(num_partitions=1, segment_records=5, segment_bytes=1 << 16)
         )
-        canonical = cluster.topic("seg").partition(0)
-        assert canonical.segment_records == 5
-        assert canonical.segment_bytes == 1 << 16
-        for broker in cluster.brokers.values():
-            if broker.has_replica("seg", 0):
-                replica = broker.replica("seg", 0)
-                assert replica.segment_records == 5
+        replicas = [
+            cluster.brokers[broker_id].replica("seg", 0)
+            for broker_id in cluster.replication.assignment("seg", 0).replicas
+        ]
+        assert len(replicas) == 2
+        for replica in replicas:
+            assert replica.segment_records == 5
+            assert replica.segment_bytes == 1 << 16
         for i in range(12):
             cluster.append("seg", 0, EventRecord(value=i))
-        assert canonical.num_segments == 3
+        for replica in replicas:
+            assert replica.num_segments == 3
+        described = cluster.admin().describe_segments("seg")["partitions"][0]
+        assert described["num_segments"] == 3
 
     def test_replication_created_replica_inherits_segment_config(self):
         """A replica first materialized by the replication path (not admin

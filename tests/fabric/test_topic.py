@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.fabric.cluster import FabricCluster
 from repro.fabric.errors import InvalidConfigError, UnknownPartitionError
+from repro.fabric.record import EventRecord
 from repro.fabric.topic import DEFAULT_RETENTION_SECONDS, Topic, TopicConfig
 
 
@@ -47,16 +49,33 @@ class TestTopicConfig:
         assert config.num_partitions == 2
 
 
+def make_cluster(**config):
+    cluster = FabricCluster(num_brokers=2)
+    cluster.admin().create_topic("t", TopicConfig(**config))
+    return cluster
+
+
+def leader_log(cluster, partition):
+    leader = cluster.replication.assignment("t", partition).leader
+    return cluster.brokers[leader].replica("t", partition)
+
+
 class TestTopic:
     def test_creates_configured_partition_count(self):
         topic = Topic("instrument-data", TopicConfig(num_partitions=4))
         assert topic.num_partitions == 4
-        assert set(topic.partitions()) == {0, 1, 2, 3}
+
+    def test_every_partition_is_a_broker_replica(self):
+        cluster = make_cluster(num_partitions=4)
+        assert cluster.topic("t").num_partitions == 4
+        assert [leader_log(cluster, p).partition for p in range(4)] == [0, 1, 2, 3]
 
     def test_unknown_partition_raises(self):
-        topic = Topic("t", TopicConfig(num_partitions=1))
+        cluster = make_cluster(num_partitions=1)
         with pytest.raises(UnknownPartitionError):
-            topic.partition(5)
+            cluster.append("t", 5, EventRecord(value=1))
+        with pytest.raises(UnknownPartitionError):
+            cluster.admin().describe_segments("t", 5)
 
     def test_add_partitions_grows_but_never_shrinks(self):
         topic = Topic("t", TopicConfig(num_partitions=2))
@@ -72,13 +91,13 @@ class TestTopic:
         assert topic.config.retention_seconds == 60.0
 
     def test_describe_reports_offsets_and_counts(self):
-        from repro.fabric.record import EventRecord
-
-        topic = Topic("t", TopicConfig(num_partitions=2))
-        topic.partition(0).append(EventRecord(value=1))
-        topic.partition(0).append(EventRecord(value=2))
-        topic.partition(1).append(EventRecord(value=3))
-        info = topic.describe()
+        cluster = make_cluster(num_partitions=2)
+        cluster.append("t", 0, EventRecord(value=1))
+        cluster.append("t", 0, EventRecord(value=2))
+        cluster.append("t", 1, EventRecord(value=3))
+        info = cluster.admin().describe_topic("t")
+        assert info["name"] == "t"
+        assert info["config"]["num_partitions"] == 2
         assert info["end_offsets"] == {0: 2, 1: 1}
         assert info["total_records"] == 3
-        assert topic.total_appended() == 3
+        assert [leader_log(cluster, p).total_appended for p in range(2)] == [2, 1]
