@@ -16,7 +16,7 @@ from repro.common.clock import Clock
 from repro.common.sync import create_rlock
 from repro.fabric.errors import BrokerUnavailableError, UnknownPartitionError
 from repro.fabric.partition import PartitionLog
-from repro.fabric.record import PackedRecordBatch, PackedView, StoredRecord
+from repro.fabric.record import PackedRecordBatch, StoredRecord
 
 
 @dataclass(frozen=True)
@@ -46,8 +46,8 @@ class Broker:
         self._replicas: Dict[Tuple[str, int], PartitionLog] = {}  #: guarded_by _lock
         self._lock = create_rlock(f"Broker[{spec.broker_id}]")
         self._online = True
-        #: Chaos seam: called as ``hook(op, topic, partition)`` at the top
-        #: of each data-plane entry point.  A hook may sleep (slow disk)
+        #: Chaos seam: called as ``hook(op, topic, partition)`` once per
+        #: partition append, replicate or read.  A hook may sleep (slow disk)
         #: or raise (injected I/O failure).  ``None`` costs one attribute
         #: read on the hot path.
         self._fault_hook: Optional[Callable[[str, str, int], None]] = None
@@ -88,9 +88,10 @@ class Broker:
     ) -> None:
         """Install (or clear) the fault-injection hook.
 
-        The hook runs at the top of ``append_packed``/``replicate``/
-        ``fetch`` with ``(op, topic, partition)``; it may sleep to model a
-        slow disk or raise a :class:`FabricError` to model an I/O fault.
+        The hook runs at the top of ``append_packed``/``replicate`` and
+        before each partition read of ``fetch_many`` with ``(op, topic,
+        partition)``; it may sleep to model a slow disk or raise a
+        :class:`FabricError` to model an I/O fault.
         """
         self._fault_hook = hook
 
@@ -259,18 +260,12 @@ class Broker:
         max_bytes: Optional[int] = None,
         isolation: str = "committed",
     ) -> list[StoredRecord]:
-        self._check_online()
-        self._faults("fetch", topic, partition)
-        records = self.replica(topic, partition).fetch(
-            offset, max_records=max_records, max_bytes=max_bytes,
-            isolation=isolation,
+        """One-partition :meth:`fetch_many`."""
+        served, _, _ = self.fetch_many(
+            [(topic, partition, offset, None)],
+            max_records=max_records, max_bytes=max_bytes, isolation=isolation,
         )
-        if isinstance(records, PackedView):
-            # Memoized per chunk (free for already-verified batches), but
-            # surfaces a CorruptBatchError at fetch for any sealed chunk
-            # that slipped in without an ingress check.
-            records.verify_crcs()
-        return records
+        return served.get((topic, partition), [])
 
     def fetch_many(
         self,
@@ -281,68 +276,48 @@ class Broker:
         logs: Optional[list[PartitionLog]] = None,
         isolation: str = "committed",
     ) -> Tuple[Dict[Tuple[str, int], list[StoredRecord]], int, int]:
-        """Serve several partition fetches in one broker round trip.
+        """The broker read: every fetch of this broker's replicas enters here.
 
         ``requests`` is an ordered iterable of ``(topic, partition, offset,
         per_partition_max_records)`` tuples.  ``max_records``/``max_bytes``
-        are *session-wide* caps charged across every request in order —
-        unlike per-partition :meth:`fetch`, a hot partition early in the
-        request list shrinks what later partitions may return.  One online
-        check covers the whole call.  ``logs`` may carry the replica logs a
-        fetch session already resolved (position-matched with ``requests``),
-        skipping the replica-table lock.  Returns ``(records_by_partition,
+        are *session-wide* caps charged across every request in order — a
+        hot partition early in the request list shrinks what later
+        partitions may return (each partition read still grants its first
+        record: the make-progress rule).  One online check covers the whole
+        call; the ``"fetch"`` fault hook runs before each partition read and
+        every served view is CRC-verified (memoized per chunk, so free for
+        already-verified batches — but a sealed chunk that slipped in
+        without an ingress check surfaces its :class:`CorruptBatchError`
+        here).  ``logs`` may carry the replica logs a fetch session already
+        resolved (position-matched with ``requests``), skipping the
+        replica-table lock.  Returns ``(records_by_partition,
         records_served, bytes_served)`` so the caller can keep charging the
         same budget across further brokers in the session.
         """
         self._check_online()
-        if not isinstance(requests, list):
-            requests = list(requests)
         if logs is None:
-            # One broker-lock pass resolves every replica up front (the
-            # per-request ``replica()`` lock round trip was the dominant
-            # cost of multi-partition fetches).
-            with self._lock:
-                logs = []
-                for request in requests:
-                    log = self._replicas.get((request[0], request[1]))
-                    if log is None:
-                        raise UnknownPartitionError(
-                            f"broker {self.broker_id} hosts no replica of "
-                            f"{request[0]}-{request[1]}"
-                        )
-                    logs.append(log)
+            requests = list(requests)
+            logs = [self.replica(request[0], request[1]) for request in requests]
         out: Dict[Tuple[str, int], list[StoredRecord]] = {}
         remaining = max_records
         served_bytes = 0
-        if max_bytes is None:
-            # No byte budget: the record cap alone drives the loop.
-            for request, log in zip(requests, logs):
-                if remaining <= 0:
-                    break
-                cap = request[3]
-                limit = remaining if cap is None or cap > remaining else cap
-                records, _ = log.fetch_with_usage(
-                    request[2], max_records=limit, isolation=isolation
-                )
-                if records:
-                    out[(request[0], request[1])] = records
-                    remaining -= len(records)
-            return out, max_records - remaining, served_bytes
-        budget = max_bytes
         for request, log in zip(requests, logs):
-            if remaining <= 0 or budget <= 0:
+            budget = None if max_bytes is None else max_bytes - served_bytes
+            if remaining <= 0 or (budget is not None and budget <= 0):
                 break
+            self._faults("fetch", request[0], request[1])
             cap = request[3]
-            limit = remaining if cap is None or cap > remaining else cap
             records, used = log.fetch_with_usage(
-                request[2], max_records=limit, max_bytes=budget,
+                request[2],
+                max_records=remaining if cap is None or cap > remaining else cap,
+                max_bytes=budget,
                 isolation=isolation,
             )
             if records:
+                records.verify_crcs()
                 out[(request[0], request[1])] = records
                 remaining -= len(records)
                 served_bytes += used
-                budget -= used
         return out, max_records - remaining, served_bytes
 
     # ------------------------------------------------------------------ #

@@ -111,7 +111,10 @@ class FetchSession:
     epoch moves (broker failure/restore, leader election, topic deletion)
     or when a cached leader is observed offline, so a session held across a
     broker crash transparently fails over to the new leader on its next
-    fetch.
+    fetch.  :meth:`fetch` (a request list) and :meth:`fetch_assignment` (a
+    standing partition set) only gather the leader/log arrays differently;
+    both are served by the cluster's one serve loop over
+    :meth:`Broker.fetch_many`.
     """
 
     def __init__(self, cluster: "FabricCluster", *, principal: Optional[str] = None) -> None:
@@ -164,12 +167,13 @@ class FetchSession:
         each partition's high watermark; ``"uncommitted"`` opts back into
         reading to the log end.
         """
-        return self._cluster._session_fetch(
-            self,
-            _normalize_fetch_requests(requests),
-            max_records=max_records,
-            max_bytes=max_bytes,
-            isolation=isolation,
+        requests = _normalize_fetch_requests(requests)
+        if not requests:
+            return {}
+        self._begin({request[0] for request in requests})
+        brokers, logs = self._resolve_all(request[:2] for request in requests)
+        return self._cluster._serve(
+            self, requests, brokers, logs, max_records, max_bytes, isolation
         )
 
     def set_assignment(self, partitions: Sequence[TopicPartition]) -> None:
@@ -204,10 +208,38 @@ class FetchSession:
         ``max_records``/``max_bytes`` budget is charged to first, so a
         caller polling in a loop can keep the budget fair across the
         assignment.  ``positions`` is read during the call only.
+
+        The same serve as :meth:`fetch`; what the standing assignment saves
+        is the per-call cache lookups — its (leader, log) arrays are
+        resolved once per metadata epoch and reused verbatim.
         """
-        return self._cluster._assignment_fetch(
-            self, positions, start, max_records, max_bytes, isolation
+        order = self._assignment
+        if not order:
+            return {}
+        self._begin(self._assignment_topics)
+        if self._assignment_brokers is None:
+            self._assignment_brokers, self._assignment_logs = self._resolve_all(order)
+        brokers = self._assignment_brokers
+        logs = self._assignment_logs
+        if start:
+            start %= len(order)
+            order = order[start:] + order[:start]
+            brokers = brokers[start:] + brokers[:start]
+            logs = logs[start:] + logs[:start]
+        requests = [(tp[0], tp[1], positions[tp], None) for tp in order]
+        return self._cluster._serve(
+            self, requests, brokers, logs, max_records, max_bytes, isolation
         )
+
+    def _begin(self, topics: Iterable[str]) -> None:
+        """Per-call preamble.  Metadata first: a moved epoch (topic deletion,
+        failover) must clear the cached authorizations before they are
+        consulted."""
+        epoch = self._cluster.metadata_epoch
+        if self._epoch != epoch:
+            self.invalidate()
+            self._epoch = epoch
+        self._cluster._session_authorize(self, topics)
 
     def _resolve(self, topic: str, partition: int) -> Tuple[Broker, "object"]:
         """Cached (leader, log) lookup, re-resolving offline/unknown entries."""
@@ -219,19 +251,26 @@ class FetchSession:
             self._leaders[tp] = entry
         return entry
 
+    def _resolve_all(
+        self, partitions: Iterable[TopicPartition]
+    ) -> Tuple[List[Broker], list]:
+        """Position-matched (leaders, logs) arrays for ``partitions``."""
+        entries = [self._resolve(topic, partition) for topic, partition in partitions]
+        return [broker for broker, _ in entries], [log for _, log in entries]
+
 
 def _normalize_fetch_requests(requests: FetchRequests) -> List[FetchRequest]:
-    if isinstance(requests, Mapping):
-        return [
-            FetchRequest(topic, partition, offset)
-            for (topic, partition), offset in requests.items()
-        ]
-    # Fast path for the common caller (consumer/mirror polls build uniform
+    # Fast path for the common caller (gateway/mirror/prefetch build uniform
     # FetchRequest lists every cycle): no re-wrapping, one type check per
     # element — mixed FetchRequest/tuple lists fall through to the general
     # normalization below.
     if type(requests) is list and all(type(req) is FetchRequest for req in requests):
         return requests
+    if isinstance(requests, Mapping):
+        return [
+            FetchRequest(topic, partition, offset)
+            for (topic, partition), offset in requests.items()
+        ]
     return [
         req if isinstance(req, FetchRequest) else FetchRequest(*req)
         for req in requests
@@ -674,13 +713,11 @@ class FabricCluster:
         ``"uncommitted"`` reads to the log end (the pre-watermark
         behaviour, and what replication itself uses).
         """
-        self._authorize(principal, "READ", topic_name)
-        self.topic(topic_name)
-        leader = self._leader_for(topic_name, partition)
-        return leader.fetch(
-            topic_name, partition, offset, max_records=max_records,
-            max_bytes=max_bytes, isolation=isolation,
-        )
+        return self.fetch_many(
+            [FetchRequest(topic_name, partition, offset)],
+            max_records=max_records, max_bytes=max_bytes,
+            principal=principal, isolation=isolation,
+        ).get((topic_name, partition), [])
 
     def fetch_session(self, *, principal: Optional[str] = None) -> FetchSession:
         """Open a standing fetch session for a reader of this cluster."""
@@ -709,88 +746,58 @@ class FabricCluster:
             isolation=isolation,
         )
 
-    def _session_fetch(
+    def _serve(
         self,
         session: FetchSession,
-        requests: List[FetchRequest],
-        *,
+        requests: Sequence[Tuple[str, int, int, Optional[int]]],
+        brokers: List[Broker],
+        logs: list,
         max_records: int,
         max_bytes: Optional[int],
-        isolation: str = "committed",
+        isolation: str,
     ) -> Dict[TopicPartition, List[StoredRecord]]:
+        """The one serve loop behind every fetch-session call.
+
+        ``brokers``/``logs`` are the session's resolved leader and replica
+        log of each request, position-matched.  The longest run of
+        consecutive requests that share a leader is one
+        :meth:`Broker.fetch_many` round trip — the only place records are
+        read and budgets charged per partition; request order (and
+        therefore budget fairness) is preserved across runs.
+        """
         out: Dict[TopicPartition, List[StoredRecord]] = {}
-        if not requests:
-            return out
-        # Metadata first: a moved epoch (topic deletion, failover) must
-        # clear the cached authorizations before they are consulted.
-        epoch = self.metadata_epoch
-        if session._epoch != epoch:
-            session.invalidate()
-            session._epoch = epoch
-        seen_topics = set()
-        for request in requests:
-            seen_topics.add(request.topic)
-        self._session_authorize(session, seen_topics)
-        # Resolve (leader, log) via the session cache: a dict hit per
-        # partition on the hot path, full metadata resolution on a miss.
-        # A cached-but-offline leader is caught by the broker's own online
-        # check below and handled by the failover path, so no liveness
-        # probe is paid per partition here.
-        cache_get = session._leaders.get
-        brokers: List[Broker] = []
-        logs: List[object] = []
-        brokers_append = brokers.append
-        logs_append = logs.append
-        for request in requests:
-            tp = (request[0], request[1])
-            entry = cache_get(tp)
-            if entry is None:
-                broker = self._leader_for(request[0], request[1])
-                entry = (broker, broker.replica(request[0], request[1]))
-                session._leaders[tp] = entry
-            brokers_append(entry[0])
-            logs_append(entry[1])
         remaining = max_records
         budget = max_bytes
         index = 0
         n = len(requests)
         while index < n and remaining > 0 and (budget is None or budget > 0):
-            # Serve the longest run of consecutive requests that share a
-            # leader in one broker round trip; request order (and therefore
-            # budget fairness) is preserved across runs.  FetchRequest is a
-            # NamedTuple, so the slice feeds the broker's tuple protocol
-            # without re-packing.
             leader = brokers[index]
             run_start = index
             while index < n and brokers[index] is leader:
                 index += 1
-            run = requests[run_start:index]
             try:
                 served, count, nbytes = leader.fetch_many(
-                    run,
+                    requests[run_start:index],
                     max_records=remaining,
                     max_bytes=budget,
                     logs=logs[run_start:index],
                     isolation=isolation,
                 )
             except BrokerUnavailableError:
-                # The leader crashed between resolution and fetch: fail over
-                # per partition and keep charging the same session budget.
+                if leader.online:
+                    raise  # not a crash (an injected fault): retrying would spin
+                # The cached leader crashed since resolution; its online
+                # check failed before anything of this run was served.  Drop
+                # every cached resolution (the session's standing arrays with
+                # them, so patching this call's copies is private), fail the
+                # run over per partition — electing where needed — and serve
+                # it again under the same budget.
                 session.invalidate()
-                served = {}
-                count = 0
-                nbytes = 0
-                for item in run:
-                    fresh, _ = session._resolve(item[0], item[1])
-                    sub, sub_count, sub_bytes = fresh.fetch_many(
-                        [item],
-                        max_records=remaining - count,
-                        max_bytes=None if budget is None else budget - nbytes,
-                        isolation=isolation,
-                    )
-                    served.update(sub)
-                    count += sub_count
-                    nbytes += sub_bytes
+                brokers[run_start:index], logs[run_start:index] = session._resolve_all(
+                    request[:2] for request in requests[run_start:index]
+                )
+                index = run_start
+                continue
             if out:
                 out.update(served)
             else:
@@ -798,113 +805,6 @@ class FabricCluster:
             remaining -= count
             if budget is not None:
                 budget -= nbytes
-        return out
-
-    def _assignment_fetch(
-        self,
-        session: FetchSession,
-        positions: Mapping[TopicPartition, int],
-        start: int,
-        max_records: int,
-        max_bytes: Optional[int],
-        isolation: str = "committed",
-    ) -> Dict[TopicPartition, List[StoredRecord]]:
-        """Serve a session's standing assignment (see :meth:`FetchSession.set_assignment`).
-
-        The steady-state hot path touches, per partition: two array reads,
-        one position lookup and one log fetch — authorization is per topic,
-        leader/log resolution is amortised across every call of a metadata
-        epoch, and liveness is checked once per same-leader run.
-
-        The serve loops below deliberately inline the budget charging that
-        :meth:`Broker.fetch_many` also implements: routing through the
-        broker would rebuild per-partition request tuples on every call,
-        which is precisely the per-fetch work assignment mode removes.
-        Keep the charging rules (record cap, byte budget, make-progress
-        first record) in lockstep with :meth:`Broker.fetch_many`.
-        """
-        assignment = session._assignment
-        n = len(assignment)
-        out: Dict[TopicPartition, List[StoredRecord]] = {}
-        if n == 0:
-            return out
-        epoch = self.metadata_epoch
-        if session._epoch != epoch:
-            session.invalidate()
-        self._session_authorize(session, session._assignment_topics)
-        if session._epoch != epoch or session._assignment_brokers is None:
-            session._epoch = epoch
-            session._leaders.clear()
-            brokers: List[Broker] = []
-            logs: list = []
-            for topic, partition in assignment:
-                broker = self._leader_for(topic, partition)
-                log = broker.replica(topic, partition)
-                session._leaders[(topic, partition)] = (broker, log)
-                brokers.append(broker)
-                logs.append(log)
-            session._assignment_brokers = brokers
-            session._assignment_logs = logs
-        brokers = session._assignment_brokers
-        logs = session._assignment_logs
-        if start:
-            start %= n
-            assignment = assignment[start:] + assignment[:start]
-            brokers = brokers[start:] + brokers[:start]
-            logs = logs[start:] + logs[:start]
-        remaining = max_records
-        budget = max_bytes
-        k = 0
-        while k < n and remaining > 0 and (budget is None or budget > 0):
-            leader = brokers[k]
-            run_start = k
-            while k < n and brokers[k] is leader:
-                k += 1
-            if leader.online:
-                if budget is None:
-                    for i in range(run_start, k):
-                        if remaining <= 0:
-                            break
-                        tp = assignment[i]
-                        records, _ = logs[i].fetch_with_usage(
-                            positions[tp], max_records=remaining,
-                            isolation=isolation,
-                        )
-                        if records:
-                            out[tp] = records
-                            remaining -= len(records)
-                else:
-                    for i in range(run_start, k):
-                        if remaining <= 0 or budget <= 0:
-                            break
-                        tp = assignment[i]
-                        records, used = logs[i].fetch_with_usage(
-                            positions[tp], max_records=remaining, max_bytes=budget,
-                            isolation=isolation,
-                        )
-                        if records:
-                            out[tp] = records
-                            remaining -= len(records)
-                            budget -= used
-            else:
-                # The cached leader crashed since resolution: fail over per
-                # partition (electing where needed) and force a full
-                # re-resolution on the next call.
-                session._assignment_brokers = None
-                for i in range(run_start, k):
-                    if remaining <= 0 or (budget is not None and budget <= 0):
-                        break
-                    tp = assignment[i]
-                    _, log = session._resolve(tp[0], tp[1])
-                    records, used = log.fetch_with_usage(
-                        positions[tp], max_records=remaining, max_bytes=budget,
-                        isolation=isolation,
-                    )
-                    if records:
-                        out[tp] = records
-                        remaining -= len(records)
-                        if budget is not None:
-                            budget -= used
         return out
 
     def _online_leader_log(self, assignment: PartitionAssignment):

@@ -6,11 +6,13 @@ timestamp; periodic automatic offset commits (at-least-once delivery) or
 manual commits; and consumer groups so that several consumers — or many
 instances of a trigger function — share a topic's partitions.
 
-Polling rides the cluster's fetch-session data plane: the whole
-assignment is served in one :meth:`FabricCluster.fetch_many` pass per
-poll (one authorization check per topic, leader resolutions cached on the
-session), and with ``prefetch=True`` a background thread pipelines the
-next fetch while the application processes the current batch.
+Polling rides the cluster's fetch-session data plane: the consumer
+registers its assignment on a :class:`FetchSession` once per rebalance
+and each poll is one :meth:`FetchSession.fetch_assignment` pass (one
+authorization check per topic, leader resolutions cached on the session,
+every partition read served by :meth:`Broker.fetch_many`), and with
+``prefetch=True`` a background thread pipelines the next fetch while the
+application processes the current batch.
 
 Group membership follows the coordinator's incremental *cooperative*
 rebalance protocol (see :mod:`repro.fabric.group`): each poll adopts any
@@ -372,7 +374,7 @@ class FabricConsumer:
         Charges both the record and the byte budget and returns what is
         left of each for the synchronous fetch.  Slightly stricter than
         the broker-side charging it mirrors (see
-        ``FabricCluster._assignment_fetch``): the make-progress record is
+        :meth:`Broker.fetch_many`): the make-progress record is
         granted once per poll (``take or out``), not once per partition,
         so drain + sync fetch together stay within one overshoot record.
         """
@@ -459,7 +461,7 @@ class FabricConsumer:
                 return
             try:
                 self._prefetch_once()
-            except FabricError:
+            except FabricError:  # lint: ignore[SWALLOWED-ERROR]
                 # Transient (leader election, revoked ACL): the next poll
                 # falls back to a synchronous fetch and surfaces the error
                 # to the application if it persists.

@@ -81,6 +81,26 @@ def _append_time(stored: StoredRecord) -> float:
     return stored.append_time
 
 
+def _take_within(
+    source, start: int, stop: int, budget: int, at_least: int
+) -> Tuple[int, int]:
+    """``(records, bytes)`` of the greedy prefix of the run
+    ``source[start:stop]`` whose bytes fit ``budget``, never fewer than
+    ``at_least`` (0 or 1) records.  A packed chunk bisects its size
+    prefix sums; only a tail run sizes records one by one."""
+    if isinstance(source, PackedRecordBatch):
+        count = source.take_within(start, stop, budget) or at_least
+        return count, source.size_range(start, start + count)
+    count = nbytes = 0
+    for index in range(start, stop):
+        size = source[index].size_bytes()
+        if count >= at_least and nbytes + size > budget:
+            break
+        count += 1
+        nbytes += size
+    return count, nbytes
+
+
 class LogSegment:
     """One run of a partition's records: packed chunks plus a tail.
 
@@ -878,78 +898,39 @@ class PartitionLog:
                 return [], 0
             if allowed < max_records:
                 max_records = allowed
+        if max_records <= 0:
+            return [], 0
+        # One walk over the runs from ``position``: the record cap bounds
+        # every run, and a byte budget (``None`` = unbounded, nothing is
+        # sized) may stop the walk inside one.
         runs: List[tuple] = []
-        if max_bytes is None:
-            # No byte budget: gather whole runs (the replication path).
-            needed = max_records
-            for segment in segments[first:]:
-                for source, run_start, run_stop in segment.runs_from(
-                    position, needed
-                ):
-                    span = run_stop - run_start
-                    if span > needed:
-                        run_stop = run_start + needed
-                        span = needed
-                    runs.append((source, run_start, run_stop))
-                    needed -= span
-                    if needed <= 0:
-                        break
-                if needed <= 0:
-                    break
-                position = 0
-            if not runs:
-                return [], 0
-            return PackedView(tuple(runs), max_records - needed), 0
-        budget = max_bytes
         taken = 0
-        done = False
+        used = 0
         for segment in segments[first:]:
             for source, run_start, run_stop in segment.runs_from(
                 position, max_records - taken
             ):
-                while run_start < run_stop and not done:
-                    if taken >= max_records:
-                        done = True
-                        break
-                    if isinstance(source, PackedRecordBatch):
-                        if taken and budget <= 0:
-                            done = True
-                            break
-                        limit = min(run_stop, run_start + max_records - taken)
-                        grant = source.take_within(run_start, limit, budget)
-                        if grant <= 0:
-                            if taken:
-                                done = True
-                                break
-                            grant = 1  # make progress: the first record is always granted
-                        runs.append((source, run_start, run_start + grant))
-                        budget -= source.size_range(run_start, run_start + grant)
-                        taken += grant
-                        if grant < limit - run_start:
-                            done = True  # byte budget stopped inside the run
-                        run_start += grant
-                    else:
-                        index = run_start
-                        while index < run_stop and taken < max_records:
-                            size = source[index].size_bytes()
-                            if taken and size > budget:
-                                break
-                            budget -= size
-                            taken += 1
-                            index += 1
-                        if index > run_start:
-                            runs.append((source, run_start, index))
-                        if index < run_stop:
-                            done = True
-                        run_start = index
-                if done:
-                    break
-            if done:
-                break
-            position = 0
+                whole = min(run_stop - run_start, max_records - taken)
+                grant = whole
+                if max_bytes is not None:
+                    # Make progress: the fetch's first record is always granted.
+                    grant, nbytes = _take_within(
+                        source, run_start, run_start + whole, max_bytes - used,
+                        0 if taken else 1,
+                    )
+                    used += nbytes
+                if grant:
+                    runs.append((source, run_start, run_start + grant))
+                    taken += grant
+                if grant < whole or taken >= max_records:
+                    break  # the byte budget or the record cap is spent
+            else:
+                position = 0
+                continue
+            break
         if not runs:
-            return [], max_bytes - budget
-        return PackedView(tuple(runs), taken), max_bytes - budget
+            return [], 0
+        return PackedView(tuple(runs), taken), used
 
     def read_all(self) -> Sequence[StoredRecord]:
         """Snapshot of every retained record (testing/persistence helper)."""

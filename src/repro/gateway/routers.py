@@ -387,8 +387,10 @@ class DataPlaneRouter:
                 max_bytes=max_bytes,
                 isolation=isolation,
             )
-            records = served.get((topic, partition), [])
-            return records, sum(r.size_bytes() for r in records)
+            records = served.get((topic, partition))
+            if records is None:
+                return [], 0
+            return records, records.size_bytes()
 
         with self._gateway.session(request.principal) as session:
             records = self._long_poll(
@@ -424,10 +426,7 @@ class DataPlaneRouter:
                 max_bytes=req.max_bytes,
                 isolation=req.isolation,
             )
-            nbytes = sum(
-                r.size_bytes() for records in served.values() for r in records
-            )
-            return served, nbytes
+            return served, sum(records.size_bytes() for records in served.values())
 
         with self._gateway.session(request.principal) as session:
             served = self._long_poll(

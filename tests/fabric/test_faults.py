@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro.common.clock import ManualClock
 from repro.fabric.cluster import FabricCluster
+from repro.fabric.consumer import ConsumerConfig, FabricConsumer
 from repro.fabric.errors import CorruptBatchError, FencedLeaderError
 from repro.fabric.faults import (
     FAULT_KINDS,
@@ -53,6 +54,37 @@ def _produce(cluster, partition, count, *, start=0):
         cluster.append(
             "chaos", partition, EventRecord(value={"n": i}, key=f"k{i}"), acks=1
         )
+
+
+READ_ROUTES = (
+    "Broker.fetch",
+    "FabricCluster.fetch",
+    "FetchSession.fetch",
+    "FetchSession.fetch_assignment",
+    "FabricConsumer.poll",
+)
+
+
+def _reader(cluster, route):
+    """A callable that reads both partitions of ``chaos`` through ``route``
+    (one partition read each) and returns how many records it got."""
+    partitions = [("chaos", 0), ("chaos", 1)]
+    offsets = {tp: 0 for tp in partitions}
+    session = cluster.fetch_session()
+    session.set_assignment(partitions)
+    if route == "FabricConsumer.poll":
+        consumer = FabricConsumer(
+            cluster, ["chaos"], ConsumerConfig(enable_auto_commit=False)
+        )
+        return lambda: len(consumer.poll_flat())
+    if route == "FetchSession.fetch":
+        return lambda: sum(map(len, session.fetch(offsets).values()))
+    if route == "FetchSession.fetch_assignment":
+        return lambda: sum(map(len, session.fetch_assignment(offsets).values()))
+    if route == "FabricCluster.fetch":
+        return lambda: sum(len(cluster.fetch(*tp, 0)) for tp in partitions)
+    leader = lambda tp: cluster._brokers[cluster._replication.assignment(*tp).leader]
+    return lambda: sum(len(leader(tp).fetch(*tp, 0)) for tp in partitions)
 
 
 # --------------------------------------------------------------------- #
@@ -211,21 +243,36 @@ class TestFaultInjector:
         with pytest.raises(CorruptBatchError):
             cluster._brokers[follower_id].replicate("chaos", 0, packed)
 
-    def test_slow_disk_advances_manual_clock(self):
+    @pytest.mark.parametrize("route", READ_ROUTES)
+    def test_slow_disk_stalls_every_read_route_once_per_partition_read(self, route):
+        """Every client route enters ``Broker.fetch_many``, so a stalled
+        leader is felt by consumers, sessions and the gateway's reads — not
+        only by a direct ``Broker.fetch`` — and ``uninstall()`` lifts it."""
         cluster, clock = _cluster()
+        for partition in range(2):
+            _produce(cluster, partition, 3)
+        leaders = [
+            cluster._replication.assignment("chaos", p).leader for p in range(2)
+        ]
         injector = self._injector(
             cluster,
             [
                 FaultEvent(
-                    at=0.5, kind="slow_disk", broker_id=0, delay_seconds=0.25
+                    at=0.5, kind="slow_disk", broker_id=leaders[0], delay_seconds=0.25
                 )
             ],
         )
+        read = _reader(cluster, route)
         clock.advance(1.0)
         injector.step()
         before = clock.now()
-        cluster._brokers[0].fetch("chaos", 0, 0, isolation="uncommitted")
-        assert clock.now() == pytest.approx(before + 0.25)
+        assert read() == 6
+        stalled_reads = leaders.count(leaders[0])
+        assert clock.now() == pytest.approx(before + 0.25 * stalled_reads)
+        injector.uninstall()
+        before = clock.now()
+        read()
+        assert clock.now() == before  # no stall: hook is gone
 
     def test_crash_is_skipped_for_last_online_broker(self):
         cluster, clock = _cluster(num_brokers=1, partitions=1)
@@ -269,19 +316,6 @@ class TestFaultInjector:
         leaders = {entry[0] for entry in partition_appends}
         epochs = {entry[3] for entry in partition_appends}
         assert len(leaders) == 1 and epochs == {0}
-
-    def test_uninstall_restores_normal_behavior(self):
-        cluster, clock = _cluster()
-        injector = self._injector(
-            cluster,
-            [FaultEvent(at=0.5, kind="slow_disk", broker_id=0, delay_seconds=9.0)],
-        )
-        clock.advance(1.0)
-        injector.step()
-        injector.uninstall()
-        before = clock.now()
-        cluster._brokers[0].fetch("chaos", 0, 0, isolation="uncommitted")
-        assert clock.now() == before  # no stall: hook is gone
 
 
 # --------------------------------------------------------------------- #

@@ -12,6 +12,8 @@ import threading
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.common.clock import ManualClock
 from repro.fabric.cluster import FabricCluster, FetchRequest
@@ -19,7 +21,7 @@ from repro.fabric.consumer import ConsumerConfig, FabricConsumer
 from repro.fabric.errors import AuthorizationError, UnknownTopicError
 from repro.fabric.mirrormaker import MirrorMaker
 from repro.fabric.producer import FabricProducer, ProducerConfig
-from repro.fabric.record import EventRecord
+from repro.fabric.record import EventRecord, PackedRecordBatch
 from repro.fabric.topic import TopicConfig
 
 
@@ -213,6 +215,85 @@ class TestFetchSessionFailover:
         batches = session.fetch(requests)
         assert sum(len(r) for r in batches.values()) == 8
         assert session._epoch == epoch
+
+
+class TestAssignmentAndRequestListAreOneRead:
+    """``fetch_assignment`` and ``fetch`` differ only in where their
+    (request, leader, log) arrays come from: the same requests in the same
+    order must be served identically, whatever the caps, the isolation
+    level, the rotation — and whichever of them meets a crashed leader."""
+
+    def build(self):
+        cluster = make_cluster(partitions=4, brokers=3, replication=3)
+        # Partition 0 is compacted on every replica (offset gaps), then grows.
+        cluster.append_batch(
+            "events", 0,
+            [EventRecord(value="x" * 76, key=f"k{i % 3}") for i in range(10)],
+        )
+        for broker in cluster.brokers.values():
+            broker.replica("events", 0).compact()
+        fill(cluster, "events", 0, 4)
+        # Partition 1's leader holds 5 records above its high watermark.
+        fill(cluster, "events", 1, 6)
+        leader = cluster.brokers[cluster.replication.assignment("events", 1).leader]
+        leader.append_packed(
+            "events", 1,
+            PackedRecordBatch.from_events(
+                [EventRecord(value="x" * 76) for _ in range(5)]
+            ),
+        )
+        log = leader.replica("events", 1)
+        assert (log.high_watermark, log.log_end_offset) == (6, 11)
+        fill(cluster, "events", 2, 9)  # partition 3 stays empty
+        return cluster, leader
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        max_records=st.integers(min_value=1, max_value=40),
+        max_bytes=st.one_of(st.none(), st.integers(min_value=1, max_value=3000)),
+        isolation=st.sampled_from(["committed", "uncommitted"]),
+        start=st.integers(min_value=0, max_value=9),
+        # Anywhere up to each partition's committed end (see ``build``).
+        offsets=st.tuples(
+            st.integers(0, 14), st.integers(0, 6), st.integers(0, 9), st.just(0)
+        ),
+        assignment_first=st.booleans(),
+    )
+    @example(40, None, "committed", 1, (0, 0, 0, 0), True)
+    @example(40, None, "uncommitted", 2, (8, 3, 0, 0), False)
+    def test_same_requests_same_records(
+        self, max_records, max_bytes, isolation, start, offsets, assignment_first
+    ):
+        cluster, crashing = self.build()
+        partitions = [("events", p) for p in range(4)]
+        positions = dict(zip(partitions, offsets))
+        standing = cluster.fetch_session()
+        standing.set_assignment(partitions)
+        listed = cluster.fetch_session()
+        pivot = start % len(partitions)
+        rotated = [
+            FetchRequest(topic, partition, positions[(topic, partition)])
+            for topic, partition in partitions[pivot:] + partitions[:pivot]
+        ]
+        caps = dict(max_records=max_records, max_bytes=max_bytes, isolation=isolation)
+
+        def served(from_assignment):
+            if from_assignment:
+                batches = standing.fetch_assignment(positions, start=start, **caps)
+            else:
+                batches = listed.fetch(rotated, **caps)
+            return [(tp, [r.offset for r in view]) for tp, view in batches.items()]
+
+        assert served(True) == served(False)
+        # A raw crash moves no metadata epoch: whichever session reads first
+        # finds its cached leader offline mid-serve and fails over under the
+        # budget it was already charging; the other re-resolves up front.
+        crashing.shutdown()
+        assert served(assignment_first) == served(not assignment_first)
+        if max_records == 40 and max_bytes is None:
+            # Uncapped, every partition was read: the crash was met and healed.
+            for session in (standing, listed):
+                assert crashing.broker_id not in session.cached_leaders().values()
 
 
 class TestConsumerOnFetchSessions:
