@@ -35,8 +35,8 @@ The rules:
     :mod:`repro.common.sync` sanitizer instruments.
 
 ``DEPRECATED-API``
-    No imports of modules in :data:`DEPRECATED_MODULES` and no calls to
-    methods in :data:`DEPRECATED_CALLS` from production code.
+    No imports of modules in :data:`DEPRECATED_MODULES` from production
+    code.
 
 ``SWALLOWED-ERROR``
     No ``except`` handler whose body only passes/continues in the fault
@@ -76,11 +76,6 @@ DEPRECATED_MODULES = {
         "superseded by the segmented PartitionLog; kept only for "
         "differential tests and benchmark baselines"
     ),
-}
-
-#: Deprecated method/attribute calls -> rationale.
-DEPRECATED_CALLS = {
-    "replace_records": "use PartitionLog.compact(); replace_records races appends",
 }
 
 #: Method-name suffix marking "caller holds the lock" helpers (GUARDED-BY).
@@ -378,16 +373,6 @@ class DeprecatedApiRule:
                         self.code, ctx.path, node.lineno,
                         f"import from deprecated module {node.module} ({reason})",
                     )
-            elif (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in DEPRECATED_CALLS
-            ):
-                yield Violation(
-                    self.code, ctx.path, node.lineno,
-                    f"call to deprecated API .{node.func.attr}() "
-                    f"({DEPRECATED_CALLS[node.func.attr]})",
-                )
 
 
 #: Path prefixes (repo-relative, posix) where SWALLOWED-ERROR applies:

@@ -301,5 +301,5 @@ def flat_compact(log: FlatPartitionLog) -> int:
     if removed:
         # The race this API carries is exactly what the flat-log
         # retention baseline must preserve.
-        log.replace_records(kept)  # lint: ignore[DEPRECATED-API]
+        log.replace_records(kept)
     return removed

@@ -127,8 +127,10 @@ class CorruptBatchError(FabricError):
     """A packed batch failed CRC32 verification (or its header is invalid).
 
     Raised on broker ingress (``append_packed``/``append_stored`` of a
-    CRC-stamped chunk) and on the first decode of a stored chunk, so a
-    corrupted batch can never reach a consumer as silently-wrong records.
+    CRC-stamped chunk) and on the first decode of a stored chunk.  A log
+    stores every batch, one record or thousands, as the chunk it arrived
+    as — CRC included — so a corrupted batch of any size can never reach
+    a consumer as silently-wrong records.
     Retriable: a reader can re-fetch (the replica recovery path rebuilds a
     follower from its leader's intact copy).
     """

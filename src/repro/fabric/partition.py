@@ -7,13 +7,14 @@ offset.  Retention and compaction may advance the log start offset, but
 never reorder or renumber records.
 
 Storage is Kafka-style **segmented**: one mutable *active* segment takes
-appends, behind it sits a list of *sealed*, immutable segments.  Since
-the one-encode refactor a segment holds its records as a short list of
-immutable :class:`~repro.fabric.record.PackedRecordBatch` *chunks* plus
-an append-only tail of per-record
-:class:`~repro.fabric.record.StoredRecord` (single appends land in the
-tail; batched appends, follower adoption and sealing produce chunks).
-That representation buys the hot paths their complexity budget:
+appends, behind it sits a list of *sealed*, immutable segments.  A
+segment holds exactly one thing: the immutable
+:class:`~repro.fabric.record.PackedRecordBatch` *chunks* it adopted, one
+per produce request however small — as a Kafka log is a sequence of
+record batches.  One stored representation means a batch's codec and
+CRC survive every hop (leader, follower, rebuild, mirror) whatever its
+size, and no record is ever decoded under the write lock.  It also buys
+the hot paths their complexity budget:
 
 * **Appends adopt batches by reference** — a producer-sealed packed
   batch becomes a segment chunk without materialising per-record
@@ -28,12 +29,12 @@ That representation buys the hot paths their complexity budget:
   drops whole sealed segments by pointer and rebuilds at most the one
   boundary segment; time/size cutoffs are found from per-segment bounds
   with only the boundary segment's chunk columns consulted.
-* **Reads are lock-split** — chunks are immutable and both the chunk
-  tuple (inside each segment) and the segment tuple are swapped
-  atomically, so fetches snapshot and serve without the write lock;
-  the tail list only ever grows and views bound it at build time.
+* **Reads are lock-split** — chunks are immutable, a segment's chunk
+  list only ever grows (readers bound it by one length snapshot) and
+  the segment tuple is swapped atomically, so fetches snapshot and
+  serve without the write lock.
 * **Timestamp lookup binary-searches** per-segment time covers, then
-  one segment's per-chunk time columns.
+  one segment's chunks, then one chunk's time column.
 """
 
 from __future__ import annotations
@@ -63,65 +64,35 @@ from repro.fabric.record import (
 DEFAULT_SEGMENT_RECORDS = 4096
 DEFAULT_SEGMENT_BYTES = 4 * 1024 * 1024
 
-#: Batches below this size ride the per-record tail path instead of
-#: becoming packed chunks: a stream of one-record produce calls must not
-#: degrade a segment into thousands of single-record chunks.
-_MIN_CHUNK_RECORDS = 4
+
+# Bisect keys: segments and chunks both carry these attributes.
+def _base_offset(item) -> int:
+    return item.base_offset
 
 
-def _base_offset(segment: "LogSegment") -> int:
-    return segment.base_offset
+def _end_offset(item) -> int:
+    return item.end_offset
 
 
-def _max_append_time(segment: "LogSegment") -> float:
-    return segment.max_append_time
-
-
-def _append_time(stored: StoredRecord) -> float:
-    return stored.append_time
-
-
-def _take_within(
-    source, start: int, stop: int, budget: int, at_least: int
-) -> Tuple[int, int]:
-    """``(records, bytes)`` of the greedy prefix of the run
-    ``source[start:stop]`` whose bytes fit ``budget``, never fewer than
-    ``at_least`` (0 or 1) records.  A packed chunk bisects its size
-    prefix sums; only a tail run sizes records one by one."""
-    if isinstance(source, PackedRecordBatch):
-        count = source.take_within(start, stop, budget) or at_least
-        return count, source.size_range(start, start + count)
-    count = nbytes = 0
-    for index in range(start, stop):
-        size = source[index].size_bytes()
-        if count >= at_least and nbytes + size > budget:
-            break
-        count += 1
-        nbytes += size
-    return count, nbytes
+def _max_append_time(item) -> float:
+    return item.max_append_time
 
 
 class LogSegment:
-    """One run of a partition's records: packed chunks plus a tail.
+    """One run of a partition's records: the packed chunks it adopted.
 
-    The record storage lives in a single atomically-swapped ``_state``
-    attribute ``(chunks, tail, cum)`` — ``chunks`` an immutable tuple of
-    :class:`PackedRecordBatch`, ``tail`` an append-only list of
-    :class:`StoredRecord` logically *after* every chunk, and ``cum`` a
-    prefix-sum tuple of chunk record counts (``cum[i]`` = records held by
-    ``chunks[:i]``) so position lookups bisect straight to the owning
-    chunk instead of walking the chunk list.  Readers
-    snapshot ``_state`` once and are then immune to later mutation:
-    chunk adoption swaps in a whole new state tuple, per-record appends
-    only ever extend the tail, and views bound the tail length at build
-    time.  Sealing packs the tail into a final chunk and freezes the
-    segment.
+    The storage is ``_state = (chunks, cum)``, two append-only lists —
+    ``chunks`` the :class:`PackedRecordBatch` objects in offset order and
+    ``cum`` the prefix sums of their record counts (``cum[i]`` = records
+    held by ``chunks[:i]``), so position lookups bisect straight to the
+    owning chunk.  Adoption appends the chunk *then* its prefix sum and
+    never copies either list, so a segment of thousands of one-record
+    chunks costs what as many records cost.  Readers take one length
+    snapshot of ``cum`` and touch nothing past it: whatever the snapshot
+    covers is already in ``chunks``, and chunks are immutable.
 
-    ``min_append_time``/``max_append_time`` are *conservative covers* of
-    the records' append times (exact until the segment is sliced at a
-    truncation boundary, which inherits the parent's bounds rather than
-    re-walking the kept records); the time searches treat them as covers
-    and stay exact.
+    ``min_append_time``/``max_append_time`` bound the records' append
+    times; the time searches use them to skip whole segments.
     """
 
     __slots__ = (
@@ -151,91 +122,29 @@ class LogSegment:
         self.logical_size_bytes = 0
         self.min_append_time: float = 0.0
         self.max_append_time: float = 0.0
+        #: Sealed segments take no more chunks (the log enforces it).
         self.sealed = False
         self.contiguous = True
         self.count = 0
-        self._state: Tuple[
-            Tuple[PackedRecordBatch, ...], List[StoredRecord], Tuple[int, ...]
-        ] = ((), [], (0,))
+        self._state: Tuple[List[PackedRecordBatch], List[int]] = ([], [0])
 
     @classmethod
     def sealed_from(cls, records: Sequence[StoredRecord]) -> "LogSegment":
         """Build an immutable segment from a non-empty, offset-ordered run."""
-        chunk = PackedRecordBatch.from_stored(records)
-        segment = cls(chunk.base_offset)
-        segment._state = ((chunk,), [], (0, len(chunk)))
-        segment.end_offset = chunk.end_offset
-        segment.size_bytes = chunk.physical_size_bytes
-        segment.logical_size_bytes = chunk.size_bytes
-        segment.min_append_time = chunk.min_append_time
-        segment.max_append_time = chunk.max_append_time
-        segment.contiguous = chunk.contiguous
-        segment.count = len(chunk)
+        segment = cls(records[0].offset)
+        segment.append_chunk(PackedRecordBatch.from_stored(records))
         segment.sealed = True
         return segment
-
-    def seal(self) -> None:
-        """Freeze the segment: the tail (if any) is packed into a final
-        chunk.  Holders of the old state keep a valid (identical) view."""
-        chunks, tail, cum = self._state
-        if tail:
-            self._state = (
-                chunks + (PackedRecordBatch.from_stored(tail),),
-                [],
-                cum + (cum[-1] + len(tail),),
-            )
-        self.sealed = True
 
     @property
     def records(self) -> PackedView:
         """The segment's records as a lazy, list-like view."""
-        chunks, tail, cum = self._state
-        runs: List[tuple] = [
-            (chunk, 0, cum[i + 1] - cum[i]) for i, chunk in enumerate(chunks)
-        ]
-        length = cum[-1]
-        if tail:
-            runs.append((tail, 0, len(tail)))
-            length += len(tail)
-        return PackedView(tuple(runs), length)
+        return PackedView(tuple(self.runs_from(0)))
 
     # -- mutation (caller holds the owning log's write lock) ----------- #
-    def append(self, stored: StoredRecord) -> None:
-        if self.count == 0:
-            self.base_offset = stored.offset
-            self.min_append_time = stored.append_time
-            self.max_append_time = stored.append_time
-        else:
-            when = stored.append_time
-            if when < self.min_append_time:
-                self.min_append_time = when
-            if when > self.max_append_time:
-                self.max_append_time = when
-        self._state[1].append(stored)
-        self.end_offset = stored.offset + 1
-        self.count += 1
-        size = stored.size_bytes()
-        self.size_bytes += size
-        self.logical_size_bytes += size
-
     def append_chunk(self, chunk: PackedRecordBatch) -> None:
-        """Adopt a packed batch by reference as the segment's next chunk.
-
-        A pending tail is packed first so chunks stay in offset order;
-        the whole transition is one ``_state`` swap, invisible to
-        concurrent readers of the previous state.
-        """
-        chunks, tail, cum = self._state
-        if tail:
-            packed_tail = PackedRecordBatch.from_stored(tail)
-            mid = cum[-1] + len(packed_tail)
-            self._state = (
-                chunks + (packed_tail, chunk),
-                [],
-                cum + (mid, mid + len(chunk)),
-            )
-        else:
-            self._state = (chunks + (chunk,), tail, cum + (cum[-1] + len(chunk),))
+        """Adopt a packed batch by reference as the segment's next chunk
+        — the only way records enter a segment."""
         if self.count == 0:
             self.base_offset = chunk.base_offset
             self.min_append_time = chunk.min_append_time
@@ -252,32 +161,31 @@ class LogSegment:
         self.count += len(chunk)
         self.size_bytes += chunk.physical_size_bytes
         self.logical_size_bytes += chunk.size_bytes
+        # Publish last, chunk before prefix sum: a reader's length
+        # snapshot of ``cum`` never covers a chunk that is not there yet.
+        chunks, cum = self._state
+        chunks.append(chunk)
+        cum.append(cum[-1] + len(chunk))
 
     # -- lookup (safe without the write lock) -------------------------- #
     def locate(self, offset: int) -> int:
         """Index of the first record with offset >= ``offset``.
 
         O(1) for contiguous segments; gapped (compacted) segments bisect
-        each chunk's offset table.
+        the chunks on their end offsets, then one chunk's offset table.
         """
         if self.contiguous:
             position = offset - self.base_offset
             return 0 if position < 0 else position
-        chunks, tail, cum = self._state
-        position = cum[-1]
-        for index, chunk in enumerate(chunks):
-            if offset < chunk.end_offset:
-                return cum[index] + chunk.index_of_offset(offset)
-        if tail:
-            length = len(tail)
-            delta = offset - tail[0].offset
-            if delta < 0:
-                delta = 0
-            return position + (delta if delta < length else length)
-        return position
+        chunks, cum = self._state
+        count = len(cum) - 1
+        index = bisect.bisect_right(chunks, offset, 0, count, key=_end_offset)
+        if index == count:
+            return cum[count]
+        return cum[index] + chunks[index].index_of_offset(offset)
 
     def runs_from(self, position: int, needed: Optional[int] = None) -> List[tuple]:
-        """The ``(source, start, stop)`` runs covering records from
+        """The ``(chunk, start, stop)`` runs covering records from
         logical ``position`` on — the currency of the fetch path.
 
         The prefix-sum column bisects straight to the chunk owning
@@ -285,44 +193,36 @@ class LogSegment:
         records are covered (the last run may overshoot — the caller
         truncates), so a bounded fetch pays O(log chunks + runs used).
         """
-        chunks, tail, cum = self._state
+        chunks, cum = self._state
+        count = len(cum) - 1
         runs: List[tuple] = []
-        total = cum[-1]
-        if position < total:
-            index = bisect.bisect_right(cum, position) - 1
-            start = position - cum[index]
-            for j in range(index, len(chunks)):
-                length = cum[j + 1] - cum[j]
-                runs.append((chunks[j], start, length))
-                if needed is not None:
-                    needed -= length - start
-                    if needed <= 0:
-                        return runs
-                start = 0
-            position = 0
-        else:
-            position -= total
-        length = len(tail)
-        if position < length:
-            runs.append((tail, position, length))
+        if position >= cum[count]:
+            return runs
+        index = bisect.bisect_right(cum, position, 0, count + 1) - 1
+        start = position - cum[index]
+        for j in range(index, count):
+            length = cum[j + 1] - cum[j]
+            runs.append((chunks[j], start, length))
+            if needed is not None:
+                needed -= length - start
+                if needed <= 0:
+                    break
+            start = 0
         return runs
 
     def first_offset_at_or_after_time(self, timestamp: float) -> Optional[int]:
-        """Offset of the first record with append time >= ``timestamp``,
-        assuming (as the log guarantees) non-decreasing append times."""
-        chunks, tail, _ = self._state
-        for chunk in chunks:
-            if chunk.max_append_time < timestamp:
-                continue
-            index = chunk.first_index_at_or_after_time(timestamp)
-            if index < len(chunk):
-                return chunk.offset_at(index)
-        length = len(tail)
-        if length:
-            index = bisect.bisect_left(tail, timestamp, 0, length, key=_append_time)
-            if index < length:
-                return tail[index].offset
-        return None
+        """Offset of the first record with append time >= ``timestamp``.
+
+        Append times are non-decreasing (the log guarantees it), so the
+        chunks bisect on ``max_append_time`` and the owning chunk on its
+        time column."""
+        chunks, cum = self._state
+        count = len(cum) - 1
+        index = bisect.bisect_left(chunks, timestamp, 0, count, key=_max_append_time)
+        if index == count:
+            return None
+        chunk = chunks[index]
+        return chunk.offset_at(chunk.first_index_at_or_after_time(timestamp))
 
     def slice_from(self, position: int) -> "LogSegment":
         """New segment holding the records from ``position`` on
@@ -330,48 +230,12 @@ class LogSegment:
 
         Chunks wholly past the boundary are kept by reference; at most
         one chunk is sliced (itself sharing the parent's payload and
-        record tuple), so the rebuild is O(runs), not O(records).  Time
-        bounds are inherited from the parent as a **conservative
-        cover** — the time searches tolerate covers by falling through
-        to the next segment.
+        record tuple), so the rebuild is O(chunks), not O(records).
         """
-        runs = self.runs_from(position)
-        chunks: List[PackedRecordBatch] = []
-        tail: List[StoredRecord] = []
-        kept = 0
-        size = 0
-        logical = 0
-        first_offset = None
-        for source, start, stop in runs:
-            kept += stop - start
-            if isinstance(source, PackedRecordBatch):
-                piece = source.slice(start, stop)
-                chunks.append(piece)
-                size += piece.physical_size_bytes
-                logical += piece.size_bytes
-                if first_offset is None:
-                    first_offset = piece.base_offset
-            else:
-                tail = list(source[start:stop])
-                tail_size = sum(stored.size_bytes() for stored in tail)
-                size += tail_size
-                logical += tail_size
-                if first_offset is None:
-                    first_offset = tail[0].offset
-        fresh = LogSegment(first_offset)
-        cum = [0]
-        for piece in chunks:
-            cum.append(cum[-1] + len(piece))
-        fresh._state = (tuple(chunks), tail, tuple(cum))
-        fresh.end_offset = self.end_offset
-        fresh.count = kept
-        fresh.size_bytes = size
-        fresh.logical_size_bytes = logical
-        fresh.min_append_time = self.min_append_time
-        fresh.max_append_time = self.max_append_time
-        fresh.contiguous = fresh.end_offset - fresh.base_offset == kept
-        if self.sealed:
-            fresh.seal()
+        fresh = LogSegment(self.base_offset)
+        for chunk, start, stop in self.runs_from(position):
+            fresh.append_chunk(chunk.slice(start, stop))
+        fresh.sealed = self.sealed
         return fresh
 
     def describe(self) -> dict:
@@ -413,8 +277,7 @@ class PartitionLog:
     ``size_bytes``, ``read_all``) never take it: they snapshot
     ``_next_offset`` *then* the segment tuple (appends publish records
     before advancing ``_next_offset``, so every offset below the snapshot
-    is reachable) and serve from immutable packed chunks plus the
-    append-only active tail.
+    is reachable) and serve from immutable packed chunks.
     """
 
     def __init__(
@@ -573,7 +436,7 @@ class PartitionLog:
 
     def _roll_active(self, base_offset: int) -> LogSegment:
         """Seal the active segment and open a fresh one at ``base_offset``."""
-        self._segments[-1].seal()
+        self._segments[-1].sealed = True
         fresh = LogSegment(base_offset)
         self._segments = self._segments + (fresh,)
         return fresh
@@ -663,8 +526,8 @@ class PartitionLog:
         self, active: LogSegment, chunk: PackedRecordBatch, index: int, remaining: int
     ) -> int:
         """How many records of ``chunk[index:]`` the active segment takes
-        before the per-record roll check would fire (>= 1: the caller
-        rolls first whenever the segment is already due)."""
+        before it reaches a roll threshold (>= 1: the caller rolls first
+        whenever the segment is already due)."""
         if active.count:
             by_count = self.segment_records - active.count
         else:
@@ -685,8 +548,7 @@ class PartitionLog:
 
     def _place_chunk(self, chunk: PackedRecordBatch) -> None:
         """Distribute one stamped chunk over the active segment, slicing
-        only at roll boundaries (same boundaries the per-record path
-        would produce)."""
+        only at roll boundaries."""
         active = self._segments[-1]
         index = 0
         length = len(chunk)
@@ -708,59 +570,26 @@ class PartitionLog:
         into segments — followers call it with the leader's chunks, the
         leader path (:meth:`append_packed`) with the batch it just stamped.
 
-        Records at offsets the log already holds are skipped; the rest
-        are appended under one lock acquisition, preserving their
-        offsets.  Packed chunks (what a leader fetch view carries) are
-        adopted *by reference* — sliced, never re-encoded — so replication
-        forwards the leader's bytes verbatim; runs below the chunk-size
-        floor devolve to the per-record tail path.  A
-        leader-side compaction gap rolls the active segment so the active
-        segment stays offset-contiguous (gaps live only between segments
-        or inside sealed chunks' offset tables).  Returns the new log end
-        offset.
+        Whatever the argument, it is normalised to packed chunks once
+        (:meth:`PackedView.wrap`), outside the lock.  Records at offsets
+        the log already holds are skipped; the rest are adopted *by
+        reference* under one lock acquisition — sliced only at a dedup or
+        roll boundary, never decoded or re-encoded — so a chunk of any
+        size keeps the codec and CRC it arrived with and replication
+        forwards the leader's bytes verbatim.  Offset gaps (leader-side
+        compaction) live in a chunk's offset table or between segments:
+        a chunk that does not start at the active segment's end rolls it.
+        Returns the new log end offset.
         """
-        if isinstance(records, PackedRecordBatch):
-            runs: Sequence[tuple] = ((records, 0, len(records)),)
-        elif isinstance(records, PackedView):
-            runs = records.runs()
-        else:
-            materialized = list(records)
-            runs = ((materialized, 0, len(materialized)),)
+        runs = PackedView.wrap(records).runs()
         # Ingress integrity (outside the lock): CRC-stamped chunks are
         # verified before any offsets are adopted.
-        for source, _, _ in runs:
-            if isinstance(source, PackedRecordBatch):
-                source.verify_crc()
+        for chunk, _, _ in runs:
+            chunk.verify_crc()
         with self._lock:
-            for source, start, stop in runs:
-                if isinstance(source, PackedRecordBatch):
-                    self._adopt_chunk_locked(source, start, stop)
-                else:
-                    self._adopt_stored_locked(source, start, stop)
+            for chunk, start, stop in runs:
+                self._adopt_chunk_locked(chunk, start, stop)
             return self._next_offset
-
-    def _adopt_stored_locked(
-        self, source: Sequence[StoredRecord], start: int, stop: int
-    ) -> None:
-        active = self._segments[-1]
-        added = 0
-        added_bytes = 0
-        for index in range(start, stop):
-            stored = source[index]
-            if stored.offset < self._next_offset:
-                continue
-            if self._should_roll(active) or (
-                active.count and stored.offset != active.end_offset
-            ):
-                active = self._roll_active(stored.offset)
-            active.append(stored)
-            self._next_offset = stored.offset + 1
-            added += 1
-            added_bytes += stored.size_bytes()
-            if stored.append_time > self._last_append_time:
-                self._last_append_time = stored.append_time
-        self._total_appended += added
-        self._total_bytes += added_bytes
 
     def _adopt_chunk_locked(
         self, chunk: PackedRecordBatch, start: int, stop: int
@@ -773,14 +602,10 @@ class PartitionLog:
             start = skip
         if start >= stop:
             return
-        length = stop - start
-        if length < _MIN_CHUNK_RECORDS:
-            self._adopt_stored_locked(chunk, start, stop)
-            return
         sub = chunk.slice(start, stop)
         self._place_chunk(sub)
         self._next_offset = sub.end_offset
-        self._total_appended += length
+        self._total_appended += stop - start
         self._total_bytes += sub.size_bytes
         if sub.max_append_time > self._last_append_time:
             self._last_append_time = sub.max_append_time
@@ -847,10 +672,7 @@ class PartitionLog:
         """
         # Committed readers stop at the high watermark; ``hw`` stays
         # ``None`` (no bound) for uncommitted readers and for unmanaged
-        # logs (nothing replicates them — standalone use).  The common
-        # committed-unmanaged path must cost one string compare and one
-        # attribute load: the fetch bench floor measures exactly this loop
-        # against the flat log.
+        # logs (nothing replicates them — standalone use).
         if isolation == "committed":
             hw = self._high_watermark
         elif isolation == "uncommitted":
@@ -907,20 +729,20 @@ class PartitionLog:
         taken = 0
         used = 0
         for segment in segments[first:]:
-            for source, run_start, run_stop in segment.runs_from(
+            for chunk, run_start, run_stop in segment.runs_from(
                 position, max_records - taken
             ):
                 whole = min(run_stop - run_start, max_records - taken)
                 grant = whole
                 if max_bytes is not None:
-                    # Make progress: the fetch's first record is always granted.
-                    grant, nbytes = _take_within(
-                        source, run_start, run_start + whole, max_bytes - used,
-                        0 if taken else 1,
+                    grant = chunk.take_within(
+                        run_start, run_start + whole, max_bytes - used
                     )
-                    used += nbytes
+                    if not grant and not taken:
+                        grant = 1  # make progress: the first record always goes
+                    used += chunk.size_range(run_start, run_start + grant)
                 if grant:
-                    runs.append((source, run_start, run_start + grant))
+                    runs.append((chunk, run_start, run_start + grant))
                     taken += grant
                 if grant < whole or taken >= max_records:
                     break  # the byte budget or the record cap is spent
@@ -1037,29 +859,22 @@ class PartitionLog:
                 total -= segment.size_bytes
                 cutoff = segment.end_offset
                 continue  # dropping all of it still leaves us over: drop whole
-            for source, start, stop in segment.runs_from(0):
-                if isinstance(source, PackedRecordBatch):
-                    chunk_bytes = source.physical_size_range(start, stop)
-                    if total - chunk_bytes > retention_bytes:
-                        # Whole-chunk drop: identical cutoff to the
-                        # per-record walk (the budget check cannot fire
-                        # mid-chunk when even dropping all of it leaves
-                        # the log over budget), without materialising a
-                        # lazy chunk's size column record by record.
-                        total -= chunk_bytes
-                        cutoff = source.offset_at(stop - 1) + 1
-                        continue
-                    for index in range(start, stop):
-                        if total <= retention_bytes:
-                            return cutoff
-                        total -= source.physical_size_range(index, index + 1)
-                        cutoff = source.offset_at(index) + 1
-                else:
-                    for index in range(start, stop):
-                        if total <= retention_bytes:
-                            return cutoff
-                        total -= source[index].size_bytes()
-                        cutoff = source[index].offset + 1
+            for chunk, start, stop in segment.runs_from(0):
+                chunk_bytes = chunk.physical_size_range(start, stop)
+                if total - chunk_bytes > retention_bytes:
+                    # Whole-chunk drop: identical cutoff to the per-record
+                    # walk (the budget check cannot fire mid-chunk when
+                    # even dropping all of it leaves the log over budget),
+                    # without materialising a lazy chunk's size column
+                    # record by record.
+                    total -= chunk_bytes
+                    cutoff = chunk.end_offset
+                    continue
+                for index in range(start, stop):
+                    if total <= retention_bytes:
+                        return cutoff
+                    total -= chunk.physical_size_range(index, index + 1)
+                    cutoff = chunk.offset_at(index) + 1
             break
         return cutoff
 
@@ -1101,26 +916,3 @@ class PartitionLog:
                 rebuilt.append(LogSegment(self._next_offset))
             self._segments = tuple(rebuilt)
             return removed
-
-    def replace_records(self, records: Sequence[StoredRecord]) -> None:
-        """Replace the retained records (compaction).  Offsets must be sorted.
-
-        Kept for compatibility with external compaction drivers; in-log
-        :meth:`compact` is the raceless path.  The records are re-chunked
-        into sealed segments of at most ``segment_records`` each.
-        """
-        with self._lock:
-            offsets = [r.offset for r in records]
-            if offsets != sorted(offsets):
-                raise ValueError("compacted records must stay offset-ordered")
-            if records:
-                if records[0].offset < self._log_start_offset:
-                    raise ValueError("compaction may not resurrect truncated offsets")
-                if records[-1].offset >= self._next_offset:
-                    raise ValueError("compaction may not invent future offsets")
-            rebuilt: List[LogSegment] = [
-                LogSegment.sealed_from(records[i : i + self.segment_records])
-                for i in range(0, len(records), self.segment_records)
-            ]
-            rebuilt.append(LogSegment(self._next_offset))
-            self._segments = tuple(rebuilt)

@@ -10,10 +10,11 @@ Packed batch layout
 -------------------
 :class:`PackedRecordBatch` is the one-encode representation shared by the
 whole data plane: the producer seals a wire batch into packed form once,
-the partition log adopts the same object as a sealed segment chunk,
-fetch responses expose slices of it (:class:`PackedView`), and
-replication/MirrorMaker forward it by reference — a record is encoded at
-most once (and compressed at most once) between produce and delivery.
+the partition log adopts the same object as a segment chunk — it is the
+only form a log stores, whatever the batch size — fetch responses expose
+slices of it (:class:`PackedView`), and replication/MirrorMaker forward
+it by reference: a record is encoded at most once (and compressed at
+most once) between produce and delivery.
 
 Wire format (v1)
 ----------------
@@ -424,12 +425,12 @@ class PackedRecordBatch:
     """An immutable, offset-stamped run of records packed as one unit.
 
     See the module docstring for the wire layout.  Instances are created
-    once (producer seal, tail seal, follower adoption) and then shared by
-    reference across the leader log, every follower replica and any
-    fetch view — nothing downstream re-encodes
-    or copies the records.  All derived forms (:meth:`slice`,
-    :meth:`with_offsets`, :meth:`with_header_overlay`) share the decoded
-    record tuple, the size columns and the payload bytes of the parent.
+    once (producer seal, wire parse, compaction rebuild) and then shared
+    by reference across the leader log, every follower replica and any
+    fetch view — nothing downstream re-encodes or copies the records.
+    All derived forms (:meth:`slice`, :meth:`with_offsets`,
+    :meth:`with_header_overlay`) share the decoded record tuple, the
+    size columns and the payload bytes of the parent.
 
     The decoded-record cache means an in-process round trip returns the
     *same* :class:`EventRecord` objects that were produced; the byte
@@ -580,6 +581,9 @@ class PackedRecordBatch:
             return
         actual = zlib.crc32(wire) & 0xFFFFFFFF
         if actual != self.crc32:
+            # A seen mismatch must not hide behind an earlier pass: later
+            # unforced checks (broker fetch, follower ingress) reject too.
+            self._crc_verified = False
             raise CorruptBatchError(
                 f"batch crc mismatch: stored {self.crc32:#010x}, "
                 f"computed {actual:#010x} over {len(wire)} {self.codec} bytes "
@@ -681,8 +685,8 @@ class PackedRecordBatch:
 
     @classmethod
     def from_stored(cls, stored: Sequence[StoredRecord]) -> "PackedRecordBatch":
-        """Pack an offset-ordered run of already-stored records (tail seal,
-        compaction rebuild, adoption of a replicated per-record run)."""
+        """Pack an offset-ordered run of already-stored records
+        (compaction rebuild, adoption of a bare record list)."""
         stored = tuple(stored)
         if not stored:
             return cls.from_events(())
@@ -1129,14 +1133,15 @@ class PackedRecordBatch:
 
 
 class PackedView(Sequence):
-    """A zero-copy fetch response: a few ``(source, start, stop)`` runs.
+    """A zero-copy fetch response: a few ``(chunk, start, stop)`` runs.
 
-    Each run references either an immutable :class:`PackedRecordBatch`
-    chunk or the active segment's append-only tail list; nothing is
-    copied or decoded until a record is actually touched, so fetching a
-    window is O(runs) regardless of how many records it spans.  The view
-    behaves like the list of :class:`StoredRecord` the fetch APIs have
-    always returned (indexing, iteration, equality, ``+`` with lists).
+    Every run references an immutable :class:`PackedRecordBatch` — the
+    one form records take in a log — so nothing is copied or decoded
+    until a record is actually touched, fetching a window is O(runs)
+    regardless of how many records it spans, and each run still carries
+    the codec and CRC it was produced with.  The view behaves like the
+    list of :class:`StoredRecord` the fetch APIs have always returned
+    (indexing, iteration, equality, ``+`` with lists).
     """
 
     __slots__ = ("_runs", "_length")
@@ -1148,13 +1153,16 @@ class PackedView(Sequence):
         self._length = length
 
     @staticmethod
-    def wrap(records: Sequence) -> "PackedView":
+    def wrap(records) -> "PackedView":
+        """The single door from "some records" to runs: a view is
+        returned as is, a packed batch becomes one run, and a bare
+        iterable of :class:`StoredRecord` is packed once."""
         if isinstance(records, PackedView):
             return records
-        if isinstance(records, PackedRecordBatch):
-            return PackedView(((records, 0, len(records)),))
-        records = list(records)
-        return PackedView(((records, 0, len(records)),) if records else ())
+        if not isinstance(records, PackedRecordBatch):
+            records = PackedRecordBatch.from_stored(records)
+        length = len(records)
+        return PackedView(((records, 0, length),) if length else (), length)
 
     def runs(self) -> Tuple[tuple, ...]:
         return self._runs
@@ -1172,23 +1180,17 @@ class PackedView(Sequence):
             index += self._length
         if not 0 <= index < self._length:
             raise IndexError(index)
-        for source, start, stop in self._runs:
+        for chunk, start, stop in self._runs:
             span = stop - start
             if index < span:
-                if isinstance(source, PackedRecordBatch):
-                    return source.stored_at(start + index)
-                return source[start + index]
+                return chunk.stored_at(start + index)
             index -= span
         raise IndexError(index)  # unreachable
 
     def __iter__(self) -> Iterator[StoredRecord]:
-        for source, start, stop in self._runs:
-            if isinstance(source, PackedRecordBatch):
-                for index in range(start, stop):
-                    yield source.stored_at(index)
-            else:
-                for index in range(start, stop):
-                    yield source[index]
+        for chunk, start, stop in self._runs:
+            for index in range(start, stop):
+                yield chunk.stored_at(index)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (PackedView, list, tuple)):
@@ -1215,48 +1217,35 @@ class PackedView(Sequence):
         Fetch budgets charge logical bytes — a compressed batch still
         delivers its full uncompressed records to the consumer."""
         total = 0
-        for source, start, stop in self._runs:
-            if isinstance(source, PackedRecordBatch):
-                total += source.size_range(start, stop)
-            else:
-                for index in range(start, stop):
-                    total += source[index].size_bytes()
+        for chunk, start, stop in self._runs:
+            total += chunk.size_range(start, stop)
         return total
 
     def physical_size_bytes(self) -> int:
         """Bytes a forwarder would actually put on the wire for this view:
         compressed batch bodies count at their compressed size."""
         total = 0
-        for source, start, stop in self._runs:
-            if isinstance(source, PackedRecordBatch):
-                total += source.physical_size_range(start, stop)
-            else:
-                for index in range(start, stop):
-                    total += source[index].size_bytes()
+        for chunk, start, stop in self._runs:
+            total += chunk.physical_size_range(start, stop)
         return total
 
     def verify_crcs(self) -> None:
         """CRC-check every sealed batch the view references (memoized per
         batch).  Consumers with ``check_crcs`` run this before records are
         handed out; raises :class:`CorruptBatchError` on the first bad run."""
-        for source, _, _ in self._runs:
-            if isinstance(source, PackedRecordBatch):
-                source.verify_crc()
+        for chunk, _, _ in self._runs:
+            chunk.verify_crc()
 
     def with_overlay(
         self, fn: Callable[[int], Mapping[str, str]]
     ) -> list:
         """Per-run packed chunks with ``fn``'s headers overlaid — the
-        MirrorMaker forwarding form.  Packed runs are sliced (sharing
-        payload/records); only plain tail runs need packing first."""
-        chunks = []
-        for source, start, stop in self._runs:
-            if isinstance(source, PackedRecordBatch):
-                piece = source.slice(start, stop)
-            else:
-                piece = PackedRecordBatch.from_stored(tuple(source[start:stop]))
-            chunks.append(piece.with_header_overlay(fn))
-        return chunks
+        MirrorMaker forwarding form: runs are sliced (sharing payload and
+        records), never re-packed."""
+        return [
+            chunk.slice(start, stop).with_header_overlay(fn)
+            for chunk, start, stop in self._runs
+        ]
 
 
 class RecordBatch:

@@ -8,8 +8,9 @@ least ``min.insync.replicas``.
 
 Replication is zero-copy: the leader fetch returns a packed batch view
 over the log's storage chunks, and the follower adopts those very chunks
-by reference (``PartitionLog.append_stored`` recognises packed runs) — no
-record is decoded or re-encoded on the leader → follower path.
+by reference (``PartitionLog.append_stored``) — no record is decoded or
+re-encoded on the leader → follower path, and every batch keeps its
+codec and CRC on the follower whatever its size.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from repro.fabric.errors import (
     UnknownPartitionError,
 )
 from repro.fabric.partition import PartitionLog
-from repro.fabric.record import PackedRecordBatch, PackedView
+from repro.fabric.record import PackedView
 
 #: Verdicts a replication link filter may return for one leader->follower
 #: push: ``"ok"`` delivers, ``"drop"`` loses the round (the follower
@@ -381,21 +382,17 @@ class ReplicationManager:
         follower = self._brokers[broker_id]
         leader_end = leader_log.log_end_offset
         start = leader_log.log_start_offset
-        missing = (
+        missing = PackedView.wrap(
             leader_log.fetch(
                 start, max_records=leader_end - start, max_bytes=None,
                 isolation="uncommitted",
             )
-            if start < leader_end
-            else []
         )
         # Force-verify the leader's chunks *before* discarding the
         # follower's log: a memoized ingress pass must not mask leader-side
         # damage that happened after its own ingress.
-        if isinstance(missing, PackedView):
-            for source, _, _ in missing.runs():
-                if isinstance(source, PackedRecordBatch):
-                    source.verify_crc(force=True)
+        for chunk, _, _ in missing.runs():
+            chunk.verify_crc(force=True)
         fresh = follower.reset_replica(
             topic,
             partition,

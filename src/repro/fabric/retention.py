@@ -58,10 +58,9 @@ def compact(log: PartitionLog) -> int:
 
     Records without a key are always retained (they carry no compaction
     identity).  Delegates to :meth:`PartitionLog.compact`, which rewrites
-    segment-by-segment *under the log's write lock* — records appended
-    concurrently with a compaction pass can no longer be silently dropped
-    (the old snapshot/filter/``replace_records`` sequence held no lock
-    across its steps).  Returns the number of records removed.
+    segment-by-segment *under the log's write lock*, so records appended
+    concurrently with a compaction pass are never dropped.  Returns the
+    number of records removed.
     """
     return log.compact()
 

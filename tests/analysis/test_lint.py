@@ -271,14 +271,6 @@ class TestDeprecatedApi:
         """)
         assert codes(out) == ["DEPRECATED-API"]
 
-    def test_replace_records_call_flagged(self):
-        out = run("""
-            def rewrite(log, kept):
-                log.replace_records(kept)
-        """)
-        assert codes(out) == ["DEPRECATED-API"]
-        assert "compact" in out[0].message
-
 
 # --------------------------------------------------------------------- #
 # Suppression

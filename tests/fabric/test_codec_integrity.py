@@ -9,10 +9,13 @@ re-fetching the leader's CRC-verified chunks
 (:meth:`ReplicationManager.recover_replica`).
 """
 
+import types
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.fabric import record as record_module
 from repro.fabric.cluster import FabricCluster
 from repro.fabric.errors import CorruptBatchError, UnknownCodecError
 from repro.fabric.partition import PartitionLog
@@ -21,6 +24,8 @@ from repro.fabric.record import (
     WIRE_HEADER_BYTES,
     EventRecord,
     PackedRecordBatch,
+    get_codec,
+    register_codec,
     registered_codecs,
 )
 from repro.fabric.topic import TopicConfig
@@ -151,6 +156,54 @@ class TestCorruptionDetection:
             view[0].record  # decode pays the forced CRC re-check
         with pytest.raises(CorruptBatchError):
             list(r.record.value for r in log.fetch(0, max_records=8))
+
+    @pytest.mark.parametrize("codec", ("none", "gzip"))
+    @pytest.mark.parametrize("count", (1, 3, 4, 64))
+    def test_batch_of_any_size_is_stored_as_it_arrived(self, count, codec, monkeypatch):
+        """A log stores one representation: a one-record wire batch keeps
+        its codec and CRC, is never inflated or JSON-decoded by the
+        append, and at-rest rot is caught — exactly like a large one."""
+        wire = _sealed(_events(count), codec).to_bytes()
+        backing = bytearray(wire)  # mutable store the chunk aliases
+        header = PackedRecordBatch.from_bytes(wire)
+        calls = {"json.loads": 0, "decompress": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        stand_in = types.SimpleNamespace(**vars(record_module.json))
+        stand_in.loads = counting("json.loads", record_module.json.loads)
+        monkeypatch.setattr(record_module, "json", stand_in)
+        original = get_codec(codec)
+        register_codec(
+            codec, original.codec_id, original.compress,
+            counting("decompress", original.decompress),
+        )
+        try:
+            log = PartitionLog("t", 0)
+            offsets = log.append_batch(
+                PackedRecordBatch.from_bytes(memoryview(backing))
+            )
+            assert offsets == list(range(count))
+            assert calls == {"json.loads": 0, "decompress": 0}
+        finally:
+            register_codec(codec, *original[1:])
+        assert log.size_bytes == len(wire) - WIRE_HEADER_BYTES
+        view = log.fetch(0, max_records=count)
+        assert len(view) == count
+        for chunk, _, _ in view.runs():
+            assert isinstance(chunk, PackedRecordBatch)
+            assert (chunk.codec, chunk.crc32) == (header.codec, header.crc32)
+        view.verify_crcs()  # intact bytes pass
+        backing[WIRE_HEADER_BYTES + 2] ^= 0x01  # rot a stored byte in place
+        with pytest.raises(CorruptBatchError):
+            view[0].record  # the first decode re-verifies, memo or not
+        with pytest.raises(CorruptBatchError):
+            view.verify_crcs()  # a seen mismatch drops the ingress memo
 
     def test_truncated_wire_raises(self):
         wire = _sealed(_events(8), "none").to_bytes()

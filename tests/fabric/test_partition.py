@@ -142,20 +142,3 @@ class TestTruncation:
         log.append(EventRecord(value="new"))
         assert log.log_end_offset == 6
         assert log.fetch(5)[0].value == "new"
-
-    def test_replace_records_rejects_disordered_offsets(self):
-        log = make_log()
-        for i in range(5):
-            log.append(EventRecord(value=i))
-        records = list(log.read_all())
-        with pytest.raises(ValueError):
-            log.replace_records([records[3], records[1]])
-
-    def test_replace_records_rejects_future_offsets(self):
-        from repro.fabric.record import StoredRecord
-
-        log = make_log()
-        log.append(EventRecord(value=0))
-        bogus = StoredRecord(offset=10, record=EventRecord(value="x"), append_time=0.0)
-        with pytest.raises(ValueError):
-            log.replace_records([bogus])

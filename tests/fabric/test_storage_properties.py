@@ -15,6 +15,8 @@ them with a much larger budget, see ``tests/conftest.py``):
   with the records it covers.
 """
 
+import math
+
 import hypothesis.strategies as st
 from hypothesis import given
 
@@ -25,7 +27,7 @@ from repro.fabric._compat.flatlog import (
     flat_enforce_time_retention,
 )
 from repro.fabric.partition import PartitionLog
-from repro.fabric.record import EventRecord
+from repro.fabric.record import EventRecord, PackedRecordBatch
 from repro.fabric.retention import (
     compact,
     enforce_size_retention,
@@ -100,6 +102,12 @@ def _observe_fetch(log, offset, max_records, max_bytes):
         records, used = log.fetch_with_usage(
             offset, max_records=max_records, max_bytes=max_bytes
         )
+        if records and isinstance(log, PartitionLog):
+            # One stored representation: single appends, batches, sliced
+            # and compacted segments all serve packed chunks.
+            assert all(
+                isinstance(chunk, PackedRecordBatch) for chunk, _, _ in records.runs()
+            )
         return ([(r.offset, r.value) for r in records], used)
     except OffsetOutOfRangeError:
         return "out-of-range"
@@ -154,6 +162,23 @@ class TestDifferentialEquivalence:
             assert segmented.offset_for_timestamp(timestamp) == (
                 flat.offset_for_timestamp(timestamp)
             ), f"offset_for_timestamp({timestamp}) diverged"
+
+    def test_timestamp_lookup_over_thousands_of_one_record_chunks(self):
+        """One produce request = one chunk, so a segment of single appends
+        holds thousands of them: the lookup bisects chunks, and must still
+        land on the first record of each time step."""
+        segmented = PartitionLog("t", 0)
+        flat = FlatPartitionLog("t", 0)
+        for i in range(2000):
+            for log in (segmented, flat):
+                log.append(EventRecord(value=i), append_time=float(i // 7))
+        assert segmented.num_segments == 1
+        last = 1999 // 7
+        for step in range(last + 1):
+            for probe in (step - 0.5, float(step), step + 0.5):
+                expected = flat.offset_for_timestamp(probe)
+                assert expected == (None if probe > last else 7 * math.ceil(probe))
+                assert segmented.offset_for_timestamp(probe) == expected, probe
 
 
 class TestSegmentInvariants:
@@ -228,10 +253,8 @@ class TestSegmentInvariants:
             if records:
                 assert info["base_offset"] == records[0].offset
                 assert info["end_offset"] == records[-1].offset + 1
-                # Time bounds are conservative covers: exact for unsliced
-                # segments, inherited (wider) across truncation boundaries.
-                assert info["min_append_time"] <= min(r.append_time for r in records)
-                assert info["max_append_time"] >= max(r.append_time for r in records)
+                assert info["min_append_time"] == min(r.append_time for r in records)
+                assert info["max_append_time"] == max(r.append_time for r in records)
         bases = [s["base_offset"] for s in described]
         assert bases == sorted(bases)
 
