@@ -1,8 +1,8 @@
 """Micro-benchmarks of incremental cooperative rebalancing.
 
 Eager range assignment is stop-the-world: every membership change revokes
-the whole partition set (all members discard positions and prefetch state
-and reacquire from scratch).  The cooperative sticky protocol must move
+the whole partition set (all members discard positions and reacquire
+from scratch).  The cooperative sticky protocol must move
 only the minimal delta — for a single join in an N-member group over P
 partitions, at most ``ceil(P/N)`` partitions — while every retained
 partition keeps serving records mid-rebalance.  The timings land in the

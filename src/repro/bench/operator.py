@@ -65,7 +65,6 @@ class BenchmarkOperator:
         event_size_bytes: int = 1024,
         acks: object = 1,
         batched: bool = False,
-        prefetch: bool = False,
     ) -> FabricRunResult:
         """Produce ``num_events`` then consume them all, measuring both sides.
 
@@ -73,9 +72,6 @@ class BenchmarkOperator:
         :meth:`FabricProducer.buffer` and deliver whole record batches
         through the cluster's batched append path; the default sends one
         record per round-trip (the paper's unbatched client baseline).
-        With ``prefetch=True`` consumers pipeline the next fetch-session
-        pass on a background thread while the measured loop processes the
-        current batch.
         """
         generator = SyntheticEventGenerator(event_size_bytes)
         producers = [
@@ -116,8 +112,7 @@ class BenchmarkOperator:
                 self.cluster,
                 [topic],
                 ConsumerConfig(group_id="bench-consumers", client_id=f"consumer-{i}",
-                               enable_auto_commit=False, max_poll_records=5000,
-                               prefetch=prefetch),
+                               enable_auto_commit=False, max_poll_records=5000),
             )
             for i in range(num_consumers)
         ]

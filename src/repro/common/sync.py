@@ -1,8 +1,8 @@
 """Instrumented lock wrappers: the runtime half of *fabric-san*.
 
 The fabric is a heavily threaded system — producer delivery threads,
-consumer prefetch, ESM poller fleets, replication and compaction all
-take locks concurrently — and the invariants those threads depend on
+ESM poller fleets, replication and compaction all take locks
+concurrently — and the invariants those threads depend on
 (consistent lock ordering above all) are otherwise only checked by
 Hypothesis soak luck.  This module provides drop-in
 :class:`SanitizedLock` / :class:`SanitizedRLock` wrappers that

@@ -13,7 +13,7 @@ grows or shrinks the fleet as the processing-pressure autoscaler directs,
 and because the group coordinator rebalances cooperatively (sticky
 assignment, revoke-then-assign), a scale event only moves the minimal
 partition delta: surviving pollers keep fetching their retained
-partitions and their prefetch buffers stay warm while the fleet resizes.
+partitions from where they were while the fleet resizes.
 """
 
 from __future__ import annotations
@@ -38,18 +38,12 @@ _mapping_ids = itertools.count(1)
 
 @dataclass(frozen=True)
 class EventSourceConfig:
-    """User-tunable event-source settings (batch size, window, filter).
-
-    ``prefetch`` pipelines the next batch fetch while the function runs,
-    using the consumer's background prefetch thread — the polling loop then
-    overlaps broker I/O with function execution, as Lambda pollers do.
-    """
+    """User-tunable event-source settings (batch size, window, filter)."""
 
     batch_size: int = 100
     batch_window_seconds: float = 0.0
     filter_pattern: Optional[dict] = None
     starting_position: str = "earliest"
-    prefetch: bool = False
 
     def validate(self) -> None:
         if not 1 <= self.batch_size <= MAX_BATCH_SIZE:
@@ -116,7 +110,6 @@ class EventSourceMapping:
                 # byte-capped across the whole session at the Lambda
                 # event-source limit.
                 receive_buffer_bytes=MAX_BATCH_BYTES,
-                prefetch=self.config.prefetch,
             ),
             principal=self.principal,
         )
@@ -177,8 +170,8 @@ class EventSourceMapping:
         sit idle).  Growth joins new consumers to the mapping's group and
         shrink closes the newest ones — either way the coordinator
         rebalances *cooperatively*, so the surviving pollers keep serving
-        their retained partitions (prefetch buffers included) while only
-        the minimal partition delta moves.
+        their retained partitions while only the minimal partition delta
+        moves.
         """
         partitions = self.cluster.topic(self.topic).num_partitions
         concurrency = max(1, min(concurrency, partitions))

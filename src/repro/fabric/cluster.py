@@ -260,7 +260,7 @@ class FetchSession:
 
 
 def _normalize_fetch_requests(requests: FetchRequests) -> List[FetchRequest]:
-    # Fast path for the common caller (gateway/mirror/prefetch build uniform
+    # Fast path for the common caller (gateway/mirror build uniform
     # FetchRequest lists every cycle): no re-wrapping, one type check per
     # element — mixed FetchRequest/tuple lists fall through to the general
     # normalization below.

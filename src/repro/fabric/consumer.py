@@ -10,21 +10,20 @@ Polling rides the cluster's fetch-session data plane: the consumer
 registers its assignment on a :class:`FetchSession` once per rebalance
 and each poll is one :meth:`FetchSession.fetch_assignment` pass (one
 authorization check per topic, leader resolutions cached on the session,
-every partition read served by :meth:`Broker.fetch_many`), and with
-``prefetch=True`` a background thread pipelines the next fetch while the
-application processes the current batch.
+every partition read served by :meth:`Broker.fetch_many`).  The consumer
+starts no thread: a fetch happens when, and only when, the application
+calls :meth:`FabricConsumer.poll`.
 
 Group membership follows the coordinator's incremental *cooperative*
 rebalance protocol (see :mod:`repro.fabric.group`): each poll adopts any
-new generation — keeping positions and prefetch buffers for retained
-partitions, committing and releasing only the revoked delta — and sends
-a clock-paced liveness heartbeat.  ``on_partitions_revoked`` /
+new generation — keeping positions for retained partitions, committing
+and releasing only the revoked delta — and sends a clock-paced liveness
+heartbeat.  ``on_partitions_revoked`` /
 ``on_partitions_assigned`` listeners observe the deltas.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -32,8 +31,8 @@ from typing import Callable, Deque, Dict, List, Optional, Sequence
 
 from repro.common.clock import Clock
 from repro.common.sync import create_rlock
-from repro.fabric.cluster import FabricCluster, FetchRequest, FetchSession
-from repro.fabric.errors import CommitFailedError, FabricError, IllegalGenerationError
+from repro.fabric.cluster import FabricCluster, FetchSession
+from repro.fabric.errors import CommitFailedError, IllegalGenerationError
 from repro.fabric.group import TopicPartition
 from repro.fabric.record import PackedView, StoredRecord
 
@@ -55,14 +54,12 @@ class ConsumerConfig:
     has no committed offset; with ``"timestamp"``, ``start_timestamp`` is
     matched against the broker-assigned **append time** (which the log
     keeps monotone), not the client-supplied record timestamp — see
-    :meth:`PartitionLog.offset_for_timestamp`.  ``prefetch`` enables the
-    background prefetch
-    thread: while the application processes one batch, the next fetch is
-    already in flight.  ``heartbeat_interval_seconds`` paces the liveness
-    heartbeats each poll sends to the group coordinator (driven by the
-    consumer's injectable clock); ``session_timeout_seconds`` is how long
-    the coordinator waits for one before evicting this member (``None``
-    uses the coordinator default).
+    :meth:`PartitionLog.offset_for_timestamp`.
+    ``heartbeat_interval_seconds`` paces the liveness heartbeats each poll
+    sends to the group coordinator (driven by the consumer's injectable
+    clock); ``session_timeout_seconds`` is how long the coordinator waits
+    for one before evicting this member (``None`` uses the coordinator
+    default).
     """
 
     group_id: str = "default-group"
@@ -73,15 +70,8 @@ class ConsumerConfig:
     max_poll_records: int = 500
     receive_buffer_bytes: int = 2 * 1024 * 1024
     start_timestamp: Optional[float] = None
-    prefetch: bool = False
     heartbeat_interval_seconds: float = 3.0
     session_timeout_seconds: Optional[float] = None
-    #: Verify the CRC32 of every sealed batch a poll returns (Kafka's
-    #: ``check.crcs``) before records are handed to the application.
-    #: Cheap — one crc32 pass per *batch*, memoized per chunk object — and
-    #: the last line of defence in front of the application; disable only
-    #: for benchmarking.
-    check_crcs: bool = True
 
     def validate(self) -> None:
         if self.auto_offset_reset not in ("earliest", "latest", "timestamp"):
@@ -111,7 +101,6 @@ class ConsumerMetrics:
     bytes_consumed: int = 0
     polls: int = 0
     commits: int = 0
-    prefetch_hits: int = 0
     rebalances: int = 0
     partitions_revoked: int = 0
     heartbeats: int = 0
@@ -172,26 +161,12 @@ class FabricConsumer:
         self._on_partitions_assigned = on_partitions_assigned
         self.metrics = ConsumerMetrics()
         self._session: FetchSession = cluster.fetch_session(principal=principal)
-        # Prefetch machinery (only materialised when config.prefetch).
-        self._prefetched: Dict[TopicPartition, List[StoredRecord]] = {}  #: guarded_by _lock
-        self._prefetch_wakeup = threading.Event()
-        self._prefetch_stop = threading.Event()
-        self._prefetch_thread: Optional[threading.Thread] = None
-        self._prefetch_session: Optional[FetchSession] = None
         self._metadata_epoch = cluster.metadata_epoch
         self._assignment: List[TopicPartition] = []  #: guarded_by _lock
         self._member_id: str = ""
         self._generation = -1
         self._join_group()
         self._maybe_rejoin()
-        if self.config.prefetch:
-            self._prefetch_session = cluster.fetch_session(principal=principal)
-            self._prefetch_thread = threading.Thread(
-                target=self._prefetch_loop,
-                name=f"prefetch-{self._member_id}",
-                daemon=True,
-            )
-            self._prefetch_thread.start()
 
     # ------------------------------------------------------------------ #
     # Assignment / positions
@@ -248,7 +223,6 @@ class FabricConsumer:
             if (topic, partition) not in self._assignment:
                 raise ValueError(f"{topic}-{partition} is not assigned to this consumer")
             self._positions[(topic, partition)] = max(0, offset)
-            self._prefetched.pop((topic, partition), None)
 
     def seek_to_beginning(self) -> None:
         with self._lock:
@@ -256,7 +230,6 @@ class FabricConsumer:
                 self._positions[(topic, partition)] = self._cluster.beginning_offset(
                     topic, partition
                 )
-            self._prefetched.clear()
 
     def seek_to_end(self) -> None:
         with self._lock:
@@ -264,14 +237,13 @@ class FabricConsumer:
                 self._positions[(topic, partition)] = self._cluster.end_offset(
                     topic, partition
                 )
-            self._prefetched.clear()
 
     # ------------------------------------------------------------------ #
     # Poll / commit
     # ------------------------------------------------------------------ #
     def poll(
         self, max_records: Optional[int] = None
-    ) -> Dict[TopicPartition, List[StoredRecord]]:
+    ) -> Dict[TopicPartition, PackedView]:
         """Fetch available records from assigned partitions, round-robin.
 
         Each poll starts from a different partition of the assignment (the
@@ -279,78 +251,42 @@ class FabricConsumer:
         starve later ones when ``max_poll_records`` is reached.  The whole
         rotated assignment is served by one fetch-session pass, with
         ``max_poll_records``/``receive_buffer_bytes`` charged across the
-        session.  With ``prefetch=True``, records the background thread
-        already fetched are delivered first and the next prefetch is kicked
-        off before returning.  Advances in-memory positions; offsets become
-        durable only when committed (automatically or via :meth:`commit`).
+        session.  Every returned view has had its batches' CRC32s verified
+        (Kafka's ``check.crcs``, one crc32 pass per *batch*, memoized per
+        chunk object): the last line of defence in front of the
+        application.  In-memory positions advance only once the fetch has
+        returned, so a poll whose fetch raises leaves every position where
+        it was; offsets become durable only when committed (automatically
+        or via :meth:`commit`).
         """
         self._ensure_open()
         self._maybe_rejoin()
         self._maybe_heartbeat()
         limit = max_records if max_records is not None else self.config.max_poll_records
-        start = time.perf_counter()
-        out: Dict[TopicPartition, List[StoredRecord]] = {}
-        pivot = 0
-        with self._lock:
-            assignment = list(self._assignment)
-            if assignment:
-                pivot = self._poll_cursor % len(assignment)
-                assignment = assignment[pivot:] + assignment[:pivot]
-                self._poll_cursor = pivot + 1
-        remaining = limit
         budget = self.config.receive_buffer_bytes
-        if self._prefetch_thread is not None and remaining > 0:
-            remaining, budget = self._drain_prefetched(assignment, remaining, budget, out)
-        # Drained prefetch records were charged against the same
-        # record/byte budget the synchronous fetch gets, so a poll never
-        # exceeds ``receive_buffer_bytes`` by more than the one
-        # make-progress record a plain fetch may also grant.  Any leftover
-        # buffer is protected from duplicate delivery by the
-        # offset-matches-position check on the next drain.
-        if remaining > 0 and budget > 0 and assignment:
-            # Snapshot under the lock: the prefetch and rebalance threads
-            # mutate ``_positions`` concurrently, and the session iterates
-            # the mapping for the whole (lock-free) fetch.
+        start = time.perf_counter()
+        out: Dict[TopicPartition, PackedView] = {}
+        # Snapshot under the lock: ``seek`` on another thread mutates
+        # ``_positions``, and the session reads the mapping for the whole
+        # (lock-free) fetch.
+        with self._lock:
+            assigned = len(self._assignment)
+            pivot = self._poll_cursor % assigned if assigned else 0
+            self._poll_cursor = pivot + 1
+            positions = dict(self._positions)
+        if limit > 0 and budget > 0 and assigned:
+            out = self._session.fetch_assignment(
+                positions, start=pivot, max_records=limit, max_bytes=budget
+            )
             with self._lock:
-                positions = dict(self._positions)
-            try:
-                batches = self._session.fetch_assignment(
-                    positions,
-                    start=pivot,
-                    max_records=remaining,
-                    max_bytes=budget,
-                )
-            except Exception:
-                # The drain already advanced positions for records the
-                # application will now never see (poll raises).  Roll them
-                # back into the prefetch buffer so the next successful poll
-                # delivers them — at-least-once must survive a failed fetch.
-                with self._lock:
-                    for tp, records in out.items():
-                        if self._positions.get(tp) == records[-1].offset + 1:
-                            self._prefetched[tp] = records + self._prefetched.get(tp, [])
-                            self._positions[tp] = records[0].offset
-                            self.metrics.prefetch_hits -= len(records)
-                raise
-            with self._lock:
-                for tp, records in batches.items():
-                    existing = out.get(tp)
-                    if existing:
-                        existing.extend(records)
-                    else:
-                        out[tp] = records
+                for tp, records in out.items():
                     self._positions[tp] = records[-1].offset + 1
-        check_crcs = self.config.check_crcs
         for records in out.values():
+            records.verify_crcs()
             self.metrics.records_consumed += len(records)
-            # Packed fetch views know their byte total from the batch size
-            # column — don't force a per-record decode just for metrics.
-            if isinstance(records, PackedView):
-                if check_crcs:
-                    records.verify_crcs()
-                self.metrics.bytes_consumed += records.size_bytes()
-            else:
-                self.metrics.bytes_consumed += sum(r.size_bytes() for r in records)
+            # The view knows its byte total from the batch size column —
+            # no per-record decode just for metrics.
+            self.metrics.bytes_consumed += records.size_bytes()
         self.metrics.polls += 1
         self.metrics.poll_latencies.append(time.perf_counter() - start)
         if self.config.enable_auto_commit:
@@ -358,57 +294,7 @@ class FabricConsumer:
             if now - self._last_auto_commit >= self.config.auto_commit_interval_seconds:
                 self.commit()
                 self._last_auto_commit = now
-        if self._prefetch_thread is not None and not self._closed:
-            self._prefetch_wakeup.set()
         return out
-
-    def _drain_prefetched(
-        self,
-        assignment: List[TopicPartition],
-        remaining: int,
-        budget: int,
-        out: Dict[TopicPartition, List[StoredRecord]],
-    ) -> tuple:
-        """Deliver buffered prefetch results that still match our positions.
-
-        Charges both the record and the byte budget and returns what is
-        left of each for the synchronous fetch.  Slightly stricter than
-        the broker-side charging it mirrors (see
-        :meth:`Broker.fetch_many`): the make-progress record is
-        granted once per poll (``take or out``), not once per partition,
-        so drain + sync fetch together stay within one overshoot record.
-        """
-        with self._lock:
-            for tp in assignment:
-                if remaining <= 0 or budget <= 0:
-                    break
-                buffered = self._prefetched.get(tp)
-                if not buffered:
-                    continue
-                if buffered[0].offset != self._positions.get(tp):
-                    # A seek moved the position after the prefetch: stale.
-                    del self._prefetched[tp]
-                    continue
-                take: List[StoredRecord] = []
-                for record in buffered:
-                    if len(take) >= remaining:
-                        break
-                    size = record.size_bytes()
-                    if (take or out) and size > budget:
-                        break
-                    take.append(record)
-                    budget -= size
-                if not take:
-                    break  # byte budget exhausted mid-assignment
-                out[tp] = take
-                if len(take) == len(buffered):
-                    del self._prefetched[tp]
-                else:
-                    self._prefetched[tp] = buffered[len(take):]
-                self._positions[tp] = take[-1].offset + 1
-                remaining -= len(take)
-                self.metrics.prefetch_hits += len(take)
-        return remaining, budget
 
     def poll_flat(self, max_records: Optional[int] = None) -> List[StoredRecord]:
         """Like :meth:`poll` but flattened into a single offset-ordered list."""
@@ -449,65 +335,6 @@ class FabricConsumer:
             end = self._cluster.end_offset(topic, partition)
             total += max(0, end - self.position(topic, partition))
         return total
-
-    # ------------------------------------------------------------------ #
-    # Background prefetch
-    # ------------------------------------------------------------------ #
-    def _prefetch_loop(self) -> None:
-        while True:
-            self._prefetch_wakeup.wait()
-            self._prefetch_wakeup.clear()
-            if self._prefetch_stop.is_set():
-                return
-            try:
-                self._prefetch_once()
-            except FabricError:  # lint: ignore[SWALLOWED-ERROR]
-                # Transient (leader election, revoked ACL): the next poll
-                # falls back to a synchronous fetch and surfaces the error
-                # to the application if it persists.
-                pass
-
-    def _prefetch_once(self) -> None:
-        """One background fetch pass from the current positions.
-
-        Safe to call concurrently with :meth:`poll`: each partition's
-        result is only installed if, at install time, the partition is
-        still owned, its buffer is still empty and the fetched records
-        start exactly at the current position.  Anything else — a seek, a
-        racing drain, a cooperative revocation — discards that
-        partition's fetch; fetches for partitions *retained* across a
-        rebalance stay valid and are kept.
-        """
-        assert self._prefetch_session is not None
-        with self._lock:
-            if self._closed:
-                return
-            requests = [
-                FetchRequest(topic, partition, self._positions[(topic, partition)])
-                for topic, partition in self._assignment
-                if (topic, partition) in self._positions
-                and not self._prefetched.get((topic, partition))
-            ]
-        if not requests:
-            return
-        batches = self._prefetch_session.fetch(
-            requests,
-            max_records=self.config.max_poll_records,
-            max_bytes=self.config.receive_buffer_bytes,
-        )
-        with self._lock:
-            if self._closed:
-                return
-            # Cooperative rebalance: a partition we still own with an
-            # unmoved position keeps its prefetch even if the generation
-            # advanced while the fetch was in flight.
-            owned = set(self._assignment)
-            for tp, records in batches.items():
-                if tp not in owned or self._prefetched.get(tp):
-                    continue
-                if records[0].offset != self._positions.get(tp):
-                    continue  # a seek raced the fetch
-                self._prefetched[tp] = list(records)
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -571,13 +398,13 @@ class FabricConsumer:
         """Follow the group through a cooperative rebalance, if one is on.
 
         Each iteration adopts the coordinator's current generation — keeping
-        retained partitions' positions and prefetch buffers, releasing only
-        the revoked delta — then acknowledges it via ``sync``.  The ack can
-        itself promote the pending target assignment (if we were the last
-        member the coordinator was waiting on), in which case the loop
-        picks up the assign-phase generation immediately instead of on the
-        next poll.  An evicted member (missed heartbeats while the
-        application was busy) rejoins as a fresh member.
+        retained partitions' positions, releasing only the revoked delta —
+        then acknowledges it via ``sync``.  The ack can itself promote the
+        pending target assignment (if we were the last member the
+        coordinator was waiting on), in which case the loop picks up the
+        assign-phase generation immediately instead of on the next poll.
+        An evicted member (missed heartbeats while the application was
+        busy) rejoins as a fresh member.
         """
         groups = self._cluster.groups
         group_id = self.config.group_id
@@ -604,11 +431,11 @@ class FabricConsumer:
     def _adopt(self, generation: int, assignment: Sequence[TopicPartition]) -> None:
         """Install one generation's assignment, cooperatively.
 
-        Retained partitions keep their fetch positions and prefetch
-        buffers untouched — they never stop being fetchable.  Revoked
-        partitions are committed first (when auto-commit is on; manual
-        committers keep at-least-once by letting the new owner re-read),
-        then handed to the revocation listener, then released.  Added
+        Retained partitions keep their fetch positions untouched — they
+        never stop being fetchable.  Revoked partitions are committed
+        first (when auto-commit is on; manual committers keep
+        at-least-once by letting the new owner re-read), then handed to
+        the revocation listener, then released.  Added
         partitions start from the committed offset or the reset policy.
         """
         with self._lock:
@@ -645,7 +472,6 @@ class FabricConsumer:
                         pass  # listeners must not wedge the rebalance
                 for tp in revoked:
                     self._positions.pop(tp, None)
-                    self._prefetched.pop(tp, None)
                 self.metrics.partitions_revoked += len(revoked)
             for tp in added:
                 if tp not in self._positions:
@@ -661,13 +487,9 @@ class FabricConsumer:
                     pass
 
     def close(self) -> None:
-        """Stop prefetching, commit (if auto-commit) and leave the group."""
+        """Commit (if auto-commit) and leave the group."""
         if self._closed:
             return
-        if self._prefetch_thread is not None:
-            self._prefetch_stop.set()
-            self._prefetch_wakeup.set()
-            self._prefetch_thread.join(timeout=5.0)
         if self.config.enable_auto_commit:
             try:
                 self.commit()

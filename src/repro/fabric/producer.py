@@ -31,6 +31,11 @@ from repro.fabric.record import EventRecord, RecordBatch, RecordMetadata
 #: Latency samples retained (matches the consumer's bounded window).
 METRICS_WINDOW = 2048
 
+#: Batches whose payload is below this many bytes are sent raw even with
+#: ``compression`` set: codec overhead beats the saving on tiny batches
+#: (Kafka's analogue gate lives in the broker's down-convert).
+COMPRESSION_MIN_BYTES = 512
+
 
 @dataclass(frozen=True)
 class ProducerConfig:
@@ -55,10 +60,6 @@ class ProducerConfig:
     #: compressed body then travels broker → log → replicas → mirror
     #: without ever being re-inflated on a forward path.
     compression: Optional[str] = None
-    #: Batches whose payload is below this many bytes are sent raw even
-    #: with ``compression`` set: codec overhead beats the saving on tiny
-    #: batches (Kafka's analogue gate lives in the broker's down-convert).
-    compression_min_bytes: int = 512
 
     def validate(self) -> None:
         if self.acks not in (0, 1, "all", "0", "1"):
@@ -77,8 +78,6 @@ class ProducerConfig:
             from repro.fabric.record import get_codec
 
             get_codec(self.compression)  # raises UnknownCodecError if absent
-        if self.compression_min_bytes < 0:
-            raise ValueError("compression_min_bytes must be >= 0")
 
 
 @dataclass
@@ -461,9 +460,7 @@ class FabricProducer:
                 # and CRC-stamps the body — once, reused on retries.
                 batch.sealed_packed()
                 if codec is None or codec == "none"
-                else batch.sealed_wire(
-                    codec, self.config.compression_min_bytes
-                ),
+                else batch.sealed_wire(codec, COMPRESSION_MIN_BYTES),
                 acks=self.config.acks,
                 principal=self._principal,
             )

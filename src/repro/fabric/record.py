@@ -35,9 +35,9 @@ codec.  Because the CRC covers the *stored* bytes, every hop that
 forwards the batch (broker ingress, replication, mirroring) can verify
 integrity without decompressing; a mismatch raises
 :class:`~repro.fabric.errors.CorruptBatchError`.  Decompression happens
-once, memoized, on the first consumer-side record access.  Legacy v0
-images (bare ``count: u32`` + raw payload, no codec/CRC) are still
-parsed.  Each record frame is::
+once, memoized, on the first consumer-side record access.  An image
+that does not start with the v1 magic/version is rejected outright.
+Each record frame is::
 
     timestamp   : f64 big-endian
     key frame   : tag u8 | length u32 | body
@@ -359,8 +359,7 @@ except ImportError:  # pragma: no cover, lint: ignore[SWALLOWED-ERROR]
 #   count   u32  logical record count
 #   usize   u32  uncompressed payload size in bytes
 #
-# followed by the body.  v0 (legacy, PR 6) was a bare count u32 + payload
-# and is still readable.
+# followed by the body.
 # --------------------------------------------------------------------- #
 _WIRE_MAGIC = 0xB4
 _WIRE_VERSION = 1
@@ -730,38 +729,19 @@ class PackedRecordBatch:
         decoded records carry fresh ones.
         """
         view = data if isinstance(data, memoryview) else memoryview(data)
-        if len(view) < 4:
-            raise CorruptBatchError(f"batch wire image too short: {len(view)} bytes")
-        if view[0] == _WIRE_MAGIC and view[1] == _WIRE_VERSION:
-            if len(view) < WIRE_HEADER_BYTES:
-                raise CorruptBatchError(
-                    f"batch wire image truncated inside the v1 header: "
-                    f"{len(view)} of {WIRE_HEADER_BYTES} bytes"
-                )
-            _, _, codec_id, crc, count, usize = _HEADER.unpack_from(view, 0)
-            codec = codec_for_id(codec_id).name
-            body = view[WIRE_HEADER_BYTES:]
-            return cls(
-                base_offset=base_offset,
-                end_offset=base_offset + count,
-                contiguous=True,
-                min_append_time=append_time,
-                max_append_time=append_time,
-                offsets=None,
-                append_times=None,
-                records=None,
-                sizes=None,
-                payload=body if codec == "none" else None,
-                codec=codec,
-                crc32=crc,
-                wire=body,
-                count=count,
-                uncompressed_size=usize,
+        if len(view) < 2 or view[0] != _WIRE_MAGIC or view[1] != _WIRE_VERSION:
+            raise CorruptBatchError(
+                f"batch wire image does not start with the v1 magic/version: "
+                f"{len(view)} bytes starting {bytes(view[:2]).hex()!r}"
             )
-        # Legacy v0 image (PR 6): bare count u32 + uncompressed payload,
-        # no codec byte, no CRC.
-        (count,) = _U32.unpack_from(view, 0)
-        body = view[4:]
+        if len(view) < WIRE_HEADER_BYTES:
+            raise CorruptBatchError(
+                f"batch wire image truncated inside the v1 header: "
+                f"{len(view)} of {WIRE_HEADER_BYTES} bytes"
+            )
+        _, _, codec_id, crc, count, usize = _HEADER.unpack_from(view, 0)
+        codec = codec_for_id(codec_id).name
+        body = view[WIRE_HEADER_BYTES:]
         return cls(
             base_offset=base_offset,
             end_offset=base_offset + count,
@@ -772,9 +752,12 @@ class PackedRecordBatch:
             append_times=None,
             records=None,
             sizes=None,
-            payload=body,
+            payload=body if codec == "none" else None,
+            codec=codec,
+            crc32=crc,
+            wire=body,
             count=count,
-            uncompressed_size=len(body),
+            uncompressed_size=usize,
         )
 
     # -- derived forms (all share records/sizes/payload by reference) -- #
@@ -1231,7 +1214,7 @@ class PackedView(Sequence):
 
     def verify_crcs(self) -> None:
         """CRC-check every sealed batch the view references (memoized per
-        batch).  Consumers with ``check_crcs`` run this before records are
+        batch).  Consumers run this on every poll before records are
         handed out; raises :class:`CorruptBatchError` on the first bad run."""
         for chunk, _, _ in self._runs:
             chunk.verify_crc()

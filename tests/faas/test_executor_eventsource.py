@@ -266,11 +266,14 @@ class TestEventSourceMapping:
         assert executor.stats.invocations == 0
 
     def test_prefetching_mapping_drains_backlog_exactly_once(self, cluster):
+        # One poller, every event exactly once (the fleet case is
+        # test_scaled_fleet_drains_backlog_exactly_once).  The name dates
+        # from the deleted consumer prefetch; kept so the id stays stable.
         seen = []
         mapping, _ = self.make_mapping(
             cluster,
             lambda event, ctx: seen.extend(event["records"]),
-            EventSourceConfig(batch_size=10, prefetch=True),
+            EventSourceConfig(batch_size=10),
         )
         producer = FabricProducer(cluster)
         for i in range(40):

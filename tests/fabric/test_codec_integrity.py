@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.fabric import record as record_module
 from repro.fabric.cluster import FabricCluster
+from repro.fabric.consumer import ConsumerConfig, FabricConsumer
 from repro.fabric.errors import CorruptBatchError, UnknownCodecError
 from repro.fabric.partition import PartitionLog
 from repro.fabric.producer import FabricProducer, ProducerConfig
@@ -157,6 +158,34 @@ class TestCorruptionDetection:
         with pytest.raises(CorruptBatchError):
             list(r.record.value for r in log.fetch(0, max_records=8))
 
+    def test_post_ingress_flip_never_reaches_a_consumer(self):
+        """The same rot, seen from :meth:`FabricConsumer.poll` (which
+        CRC-checks every view, no opt-out): sizing the chunk for the
+        poll's byte budget is its first decode, so the poll itself raises
+        and hands out nothing — and with the ingress memo dropped by that
+        mismatch every later poll raises too, from the same position."""
+        backing = bytearray(_sealed(_events(8), "gzip").to_bytes())
+        cluster = FabricCluster(num_brokers=1)
+        cluster.admin().create_topic("t", TopicConfig(num_partitions=1))
+        # Leader adoption + replication round, i.e. the cluster's append
+        # minus the producer ack: building ``RecordMetadata`` timestamps
+        # decodes the chunk, and a memoized decode never re-reads the wire.
+        cluster.brokers[0].append_packed(
+            "t", 0, PackedRecordBatch.from_bytes(memoryview(backing))
+        )
+        cluster.replication.replicate_from_leader("t", 0)  # advance the HW
+        backing[WIRE_HEADER_BYTES + 2] ^= 0x01  # rot a stored byte in place
+        consumer = FabricConsumer(
+            cluster, ["t"], ConsumerConfig(enable_auto_commit=False)
+        )
+        assert consumer.lag() == 8
+        for _ in range(2):
+            with pytest.raises(CorruptBatchError):
+                consumer.poll()
+            assert consumer.position("t", 0) == 0
+        assert consumer.metrics.records_consumed == 0
+        consumer.close()
+
     @pytest.mark.parametrize("codec", ("none", "gzip"))
     @pytest.mark.parametrize("count", (1, 3, 4, 64))
     def test_batch_of_any_size_is_stored_as_it_arrived(self, count, codec, monkeypatch):
@@ -210,8 +239,12 @@ class TestCorruptionDetection:
         batch = PackedRecordBatch.from_bytes(wire[: len(wire) - 4])
         with pytest.raises(CorruptBatchError):
             batch.record_at(7)
-        with pytest.raises(CorruptBatchError):
-            PackedRecordBatch.from_bytes(b"\x00\x01")
+        # No v1 magic/version, no batch: nothing is constructed from a
+        # too-short image, a bare "count + payload" body, or a v1 image
+        # whose first byte rotted.
+        for image in (b"\x00\x01", b"\x00\x00\x00\x02garbage!", self._flip(wire, 0)):
+            with pytest.raises(CorruptBatchError):
+                PackedRecordBatch.from_bytes(image)
 
     def test_unknown_codec_id_rejected(self):
         wire = bytearray(_sealed(_events(4), "gzip").to_bytes())

@@ -2,10 +2,9 @@
 
 Covers :meth:`FabricCluster.fetch_many`/:class:`FetchSession` semantics
 (session-wide caps, per-topic authorization, leader caching and
-invalidation under broker failure), the consumer's background prefetch
-thread (including discard-on-rebalance), the producer's background
-delivery thread, injectable clocks for both, batched MirrorMaker sync and
-the partition-drift regression.
+invalidation under broker failure), the consumer's single synchronous
+read path, the producer's background delivery thread, injectable clocks
+for both, batched MirrorMaker sync and the partition-drift regression.
 """
 
 import threading
@@ -21,7 +20,7 @@ from repro.fabric.consumer import ConsumerConfig, FabricConsumer
 from repro.fabric.errors import AuthorizationError, UnknownTopicError
 from repro.fabric.mirrormaker import MirrorMaker
 from repro.fabric.producer import FabricProducer, ProducerConfig
-from repro.fabric.record import EventRecord, PackedRecordBatch
+from repro.fabric.record import EventRecord, PackedRecordBatch, PackedView
 from repro.fabric.topic import TopicConfig
 
 
@@ -331,34 +330,39 @@ class TestConsumerOnFetchSessions:
         assert consumer.committed("events", 0) == 6
         consumer.close()
 
-
-class TestPrefetch:
-    def test_prefetched_records_are_drained_on_poll(self):
+    def test_consumer_starts_no_thread_and_hands_out_packed_views(self):
         cluster = make_cluster(partitions=2)
         fill(cluster, "events", 0, 10)
         fill(cluster, "events", 1, 10)
+        threads_before = threading.active_count()
         consumer = FabricConsumer(
-            cluster,
-            ["events"],
-            ConsumerConfig(enable_auto_commit=False, prefetch=True),
+            cluster, ["events"], ConsumerConfig(enable_auto_commit=False)
         )
-        consumer._prefetch_once()  # deterministically prime the buffer
-        assert sum(len(v) for v in consumer._prefetched.values()) == 20
-        records = consumer.poll_flat()
-        assert len(records) == 20
-        assert consumer.metrics.prefetch_hits == 20
+        batches = consumer.poll()
+        assert sum(len(view) for view in batches.values()) == 20
+        assert all(type(view) is PackedView for view in batches.values())
+        assert threading.active_count() == threads_before
         consumer.close()
+        assert threading.active_count() == threads_before
+
+
+class TestPrefetch:
+    """What outlived the background prefetch thread (deleted with its
+    buffer and second fetch session): the two delivery guarantees its
+    tests pinned, now asserted on the one synchronous read path.  Class
+    and test names are kept so the test ids stay comparable across PRs.
+    """
 
     def test_prefetching_consumer_delivers_exactly_once(self):
+        # An odd cap (37) never lines up with the 100-record chunks, so
+        # every poll ends mid-chunk on some partition.
         cluster = make_cluster(partitions=4)
         for p in range(4):
             fill(cluster, "events", p, 100)
         consumer = FabricConsumer(
             cluster,
             ["events"],
-            ConsumerConfig(
-                enable_auto_commit=False, prefetch=True, max_poll_records=37
-            ),
+            ConsumerConfig(enable_auto_commit=False, max_poll_records=37),
         )
         seen = {}
         deadline = time.monotonic() + 10.0
@@ -371,95 +375,25 @@ class TestPrefetch:
         for offsets in seen.values():
             assert offsets == sorted(set(offsets))  # no duplicates, in order
 
-    def test_prefetch_survives_rebalance_for_retained_partitions_only(self):
-        cluster = make_cluster(partitions=2)
-        fill(cluster, "events", 0, 10)
-        fill(cluster, "events", 1, 10)
-        first = FabricConsumer(
-            cluster,
-            ["events"],
-            ConsumerConfig(
-                group_id="shared", enable_auto_commit=False, prefetch=True
-            ),
-        )
-        first._prefetch_once()
-        assert set(first._prefetched) == set(first.assignment())  # both primed
-        second = FabricConsumer(
-            cluster,
-            ["events"],
-            ConsumerConfig(group_id="shared", enable_auto_commit=False),
-        )
-        batches = first.poll()  # adopts the cooperative revocation
-        owned = set(first.assignment())
-        assert len(owned) == 1
-        # Selective invalidation: the revoked partition's buffer is gone,
-        # but the retained partition was served straight from prefetch —
-        # it never stopped, and nothing stale leaked out.
-        assert set(batches) == owned
-        assert first.metrics.prefetch_hits == 10
-        for tp, records in batches.items():
-            assert [r.offset for r in records] == list(range(len(records)))
-        first.close()
-        second.close()
-
-    def test_prefetch_drain_charges_byte_budget(self):
-        """Regression: a prefetching poll must not return 2x the byte cap
-        (drained buffer + a fresh full-budget fetch)."""
-        cluster = make_cluster(partitions=2)
-        fill(cluster, "events", 0, 10, size=76)  # 100 B each on the wire
-        fill(cluster, "events", 1, 10, size=76)
-        consumer = FabricConsumer(
-            cluster,
-            ["events"],
-            ConsumerConfig(
-                enable_auto_commit=False, prefetch=True, receive_buffer_bytes=250
-            ),
-        )
-        consumer._prefetch_once()  # buffers up to the 250 B session cap
-        records = consumer.poll_flat()
-        # At most the cap plus the single make-progress record a plain
-        # fetch may also grant.
-        assert sum(r.size_bytes() for r in records) <= 250 + 100
-        assert records  # the budget still makes progress
-        consumer.close()
-
-    def test_seek_discards_stale_prefetch(self):
-        cluster = make_cluster(partitions=1)
-        fill(cluster, "events", 0, 10)
-        consumer = FabricConsumer(
-            cluster,
-            ["events"],
-            ConsumerConfig(enable_auto_commit=False, prefetch=True),
-        )
-        consumer.poll(max_records=5)
-        consumer._prefetch_once()  # buffers offsets 5..9
-        consumer.seek("events", 0, 0)
-        records = consumer.poll_flat()
-        assert [r.offset for r in records] == list(range(10))
-        consumer.close()
-
     def test_failed_sync_fetch_rolls_back_drained_records(self):
-        """Regression: if the synchronous fetch after a prefetch drain
-        raises, the drained records must return to the buffer — otherwise
-        their positions are advanced past records the application never
-        saw (at-least-once violation)."""
+        """A poll whose fetch raises leaves every position where it was,
+        and the next poll delivers each offset exactly once, in order —
+        at-least-once must survive a failed fetch."""
         cluster = make_cluster(partitions=2)
         fill(cluster, "events", 0, 5)
         fill(cluster, "events", 1, 5)
         consumer = FabricConsumer(
-            cluster,
-            ["events"],
-            ConsumerConfig(enable_auto_commit=False, prefetch=True),
+            cluster, ["events"], ConsumerConfig(enable_auto_commit=False)
         )
-        consumer._prefetch_once()  # buffers all 10 records
+        first = consumer.poll(max_records=2)  # mid-partition, not at zero
+        before = {tp: consumer.position(*tp) for tp in consumer.assignment()}
+        assert sorted(before.values()) == [0, 2]
         cluster.admin().set_authorizer(lambda principal, op, topic: op != "READ")
         with pytest.raises(AuthorizationError):
             consumer.poll()
-        assert consumer.position("events", 0) == 0
-        assert consumer.position("events", 1) == 0
-        assert sum(len(v) for v in consumer._prefetched.values()) == 10
+        assert {tp: consumer.position(*tp) for tp in before} == before
         cluster.admin().set_authorizer(None)
-        got = {}
+        got = {tp: [r.offset for r in records] for tp, records in first.items()}
         deadline = time.monotonic() + 10.0
         while sum(len(v) for v in got.values()) < 10:
             assert time.monotonic() < deadline
@@ -468,28 +402,6 @@ class TestPrefetch:
         consumer.close()
         for offsets in got.values():
             assert offsets == list(range(5))  # exactly once, in order
-
-    def test_concurrent_prefetch_never_duplicates_buffer(self):
-        cluster = make_cluster(partitions=2)
-        fill(cluster, "events", 0, 50)
-        fill(cluster, "events", 1, 50)
-        consumer = FabricConsumer(
-            cluster,
-            ["events"],
-            ConsumerConfig(enable_auto_commit=False, prefetch=True),
-        )
-        threads = [
-            threading.Thread(target=consumer._prefetch_once) for _ in range(4)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        for tp, buffered in consumer._prefetched.items():
-            offsets = [r.offset for r in buffered]
-            assert offsets == sorted(set(offsets))
-        assert len(consumer.poll_flat(max_records=200)) == 100
-        consumer.close()
 
 
 class TestProducerBackgroundDelivery:

@@ -119,6 +119,31 @@ class TestProduceWireFormat:
         assert response.status == 422
         assert response.payload["code"] == "CORRUPT_BATCH"
 
+    def test_body_without_v1_magic_is_rejected_before_adoption(self, client, topic):
+        """Regression: a body not starting 0xB4 0x01 used to parse as a
+        "v0" image (count u32 + raw payload, no CRC), so the leader adopted
+        and replicated two offsets *before* the 422 — and every later read
+        of the partition from offset 0 raised forever."""
+        response = client.post(
+            "/v1/topics/t/partitions/0/records",
+            body=b"\x00\x00\x00\x02garbage!",
+            headers={"Content-Type": BATCH_CONTENT_TYPE},
+        )
+        assert response.status == 422
+        assert response.payload["code"] == "CORRUPT_BATCH"
+        offsets = client.get("/v1/topics/t/offsets").payload["partitions"]["0"]
+        assert offsets == {"beginning": 0, "end": 0}  # nothing was adopted
+
+        produced = client.post(
+            "/v1/topics/t/partitions/0/records",
+            json_body={"records": [{"value": "good"}]},
+        )
+        assert produced.status == 201
+        assert produced.payload["base_offset"] == 0
+        fetched = client.get("/v1/topics/t/partitions/0/records", query={"offset": "0"})
+        assert fetched.status == 200
+        assert [r["value"] for r in fetched.payload["records"]] == ["good"]
+
     def test_empty_wire_body_is_400(self, client, topic):
         response = client.post(
             "/v1/topics/t/partitions/0/records",
