@@ -10,11 +10,24 @@ Figure 2 would display.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from statistics import fmean
+from typing import Dict, List, Optional, Sequence
 
-import numpy as np
+
+def percentile(ordered: Sequence[float], q: float) -> float:
+    """The ``q``-th percentile of an ascending, non-empty sequence, linearly
+    interpolated between the two nearest ranks (``numpy.percentile``'s
+    default definition and arithmetic)."""
+    rank = q / 100.0 * (len(ordered) - 1)
+    below = ordered[math.floor(rank)]
+    above = ordered[math.ceil(rank)]
+    weight = rank - math.floor(rank)
+    if weight < 0.5:
+        return below + (above - below) * weight
+    return above - (above - below) * (1.0 - weight)
 
 
 @dataclass(frozen=True)
@@ -87,21 +100,12 @@ class LogService:
 
     def metrics(self, function_name: str) -> dict:
         """Aggregate invocation metrics for one function."""
-        durations = np.asarray(self._durations.get(function_name, ()), dtype=float)
-        invocations = self._invocations.get(function_name, 0)
-        errors = self._errors.get(function_name, 0)
-        if durations.size == 0:
-            return {
-                "invocations": invocations,
-                "errors": errors,
-                "duration_mean_s": 0.0,
-                "duration_p50_s": 0.0,
-                "duration_p99_s": 0.0,
-            }
+        # A function never invoked reports 0.0 for all three.
+        durations = sorted(self._durations.get(function_name, ())) or [0.0]
         return {
-            "invocations": invocations,
-            "errors": errors,
-            "duration_mean_s": float(durations.mean()),
-            "duration_p50_s": float(np.percentile(durations, 50)),
-            "duration_p99_s": float(np.percentile(durations, 99)),
+            "invocations": self._invocations.get(function_name, 0),
+            "errors": self._errors.get(function_name, 0),
+            "duration_mean_s": fmean(durations),
+            "duration_p50_s": percentile(durations, 50),
+            "duration_p99_s": percentile(durations, 99),
         }

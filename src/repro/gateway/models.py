@@ -17,6 +17,7 @@ by the router; only requests need parsing.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import typing
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, Union
@@ -89,6 +90,17 @@ def _conforms(value: Any, expected: Any) -> bool:
     return isinstance(value, expected)
 
 
+@functools.cache
+def _schema(cls: type) -> Dict[str, Tuple[Any, bool]]:
+    """``field name -> (annotation, required)`` of a model class, resolved
+    once: ``get_type_hints`` compiles every (string) annotation it reads."""
+    hints = typing.get_type_hints(cls)
+    return {
+        f.name: (hints[f.name], f.default is f.default_factory is dataclasses.MISSING)
+        for f in dataclasses.fields(cls)
+    }
+
+
 @dataclass(frozen=True)
 class Model:
     """Base request model: ``parse`` is the schema boundary."""
@@ -97,31 +109,22 @@ class Model:
     def parse(cls, payload: Any) -> "Model":
         if not isinstance(payload, dict):
             raise SchemaError({"body": "request body must be a JSON object"})
-        errors: Dict[str, str] = {}
-        hints = typing.get_type_hints(cls)
+        schema = _schema(cls)
+        errors = {key: "unknown field" for key in payload if key not in schema}
         values: Dict[str, Any] = {}
-        known = {f.name for f in dataclasses.fields(cls)}
-        for key in payload:
-            if key not in known:
-                errors[key] = "unknown field"
-        for f in dataclasses.fields(cls):
-            expected = hints[f.name]
-            raw = payload.get(f.name, _MISSING)
-            required = (
-                f.default is dataclasses.MISSING
-                and f.default_factory is dataclasses.MISSING
-            )
+        for name, (expected, required) in schema.items():
+            raw = payload.get(name, _MISSING)
             if raw is _MISSING:
                 if required:
-                    errors[f.name] = f"required field (expected {_describe(expected)})"
+                    errors[name] = f"required field (expected {_describe(expected)})"
                 continue
             if not _conforms(raw, expected):
-                errors[f.name] = (
+                errors[name] = (
                     f"expected {_describe(expected)}, "
                     f"got {_TYPE_NAMES.get(type(raw), type(raw).__name__)}"
                 )
                 continue
-            values[f.name] = raw
+            values[name] = raw
         if not errors:
             instance = cls(**values)
             instance._validate(errors)

@@ -98,11 +98,13 @@ class GatewayRequest:
 
 @dataclass
 class GatewayResponse:
-    """What a handler returns; the HTTP server serializes it."""
+    """What a handler returns; :meth:`Gateway.handle` encodes it."""
 
     status: int = 200
     payload: Any = None
     content_type: str = JSON_CONTENT_TYPE
+    #: The encoded body: ``None`` as handlers build it, filled in on every
+    #: response :meth:`Gateway.handle` returns, so a transport writes bytes.
     raw: Optional[bytes] = None
     #: Extra response headers (e.g. ``Retry-After`` on 429/503).
     headers: Dict[str, str] = field(default_factory=dict)
@@ -114,6 +116,18 @@ class GatewayResponse:
             return b""
         return json.dumps(self.payload).encode("utf-8")
 
+    def encoded(self) -> "GatewayResponse":
+        """This response with ``raw`` filled in; raises what the encode raises."""
+        self.raw = self.body_bytes()
+        return self
+
+
+def error_response(exc: BaseException) -> GatewayResponse:
+    """Any exception as an encoded JSON error response."""
+    status, payload = error_body(exc)
+    extra = getattr(exc, "headers", None) or {}
+    return GatewayResponse(status, payload, headers=dict(extra)).encoded()
+
 
 Handler = Callable[[GatewayRequest], GatewayResponse]
 
@@ -124,19 +138,24 @@ class Route:
     pattern: str
     handler: Handler
     segments: Tuple[str, ...] = field(init=False)
+    #: Per segment, the name of a ``{name}`` one and "" for a fixed one,
+    #: so that matching a request parses no braces.
+    names: Tuple[str, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "segments", tuple(s for s in self.pattern.split("/") if s)
-        )
+        segments = tuple(s for s in self.pattern.split("/") if s)
+        object.__setattr__(self, "segments", segments)
+        object.__setattr__(self, "names", tuple(
+            s[1:-1] if s.startswith("{") and s.endswith("}") else "" for s in segments
+        ))
 
     def match(self, segments: Tuple[str, ...]) -> Optional[Dict[str, str]]:
         if len(segments) != len(self.segments):
             return None
         params: Dict[str, str] = {}
-        for want, got in zip(self.segments, segments):
-            if want.startswith("{") and want.endswith("}"):
-                params[want[1:-1]] = got
+        for want, name, got in zip(self.segments, self.names, segments):
+            if name:
+                params[name] = got
             elif want != got:
                 return None
         return params
@@ -643,14 +662,17 @@ class Gateway:
         self._admin_authorizer = admin_authorizer
         self.control = ControlPlaneRouter(self)
         self.data = DataPlaneRouter(self)
-        self._routes: List[Route] = (
+        #: By segment count: a request is compared only with routes it can match.
+        self._routes: Dict[int, List[Route]] = {}
+        for route in (
             [
                 Route("GET", "/v1/healthz", self.healthz),
                 Route("GET", "/v1/readyz", self.readyz),
             ]
             + self.control.routes()
             + self.data.routes()
-        )
+        ):
+            self._routes.setdefault(len(route.segments), []).append(route)
         self._pool_lock = create_lock("GatewaySessionPool")
         self._session_pool: Dict[Optional[str], List[FetchSession]] = {}
         self._max_inflight = max_inflight_per_principal
@@ -842,25 +864,23 @@ class Gateway:
                 body=body,
                 principal=self.principal_from_headers(headers),
             )
+            # Encoded in here, so that a payload JSON cannot carry is a 500
+            # body like any other failure and not a traceback in the transport.
             if segments in self._HEALTH_PATHS:
-                return route.handler(request)
+                return route.handler(request).encoded()
             self._admit(request.principal)
             try:
-                return route.handler(request)
+                return route.handler(request).encoded()
             finally:
                 self._release(request.principal)
         except Exception as exc:  # total: every failure maps to a body
-            status, payload = error_body(exc)
-            extra = getattr(exc, "headers", None)
-            return GatewayResponse(
-                status, payload, headers=dict(extra) if extra else {}
-            )
+            return error_response(exc)
 
     def _match(
         self, method: str, segments: Tuple[str, ...]
     ) -> Tuple[Route, Dict[str, str]]:
         allowed: List[str] = []
-        for route in self._routes:
+        for route in self._routes.get(len(segments), ()):
             params = route.match(segments)
             if params is None:
                 continue
@@ -883,4 +903,5 @@ __all__ = [
     "ControlPlaneRouter",
     "DataPlaneRouter",
     "Route",
+    "error_response",
 ]

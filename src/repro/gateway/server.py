@@ -2,11 +2,14 @@
 
 One :class:`~http.server.ThreadingHTTPServer` (a thread per connection —
 matching the fabric's thread-safe, lock-instrumented internals) whose
-request handler does nothing but frame parsing: path/query split, body
-read, header passthrough.  All routing, validation and error mapping
-live in :meth:`repro.gateway.routers.Gateway.handle`, so the contract
-tests that drive the application object in-process cover exactly what
-the socket serves.
+request handler does nothing but framing: path/query split, body read,
+header passthrough, and one socket write per response.  All routing,
+validation, error mapping and body encoding live in
+:meth:`repro.gateway.routers.Gateway.handle`, so the contract tests that
+drive the application object in-process cover exactly what the socket
+serves.  A body that cannot be framed never reaches it and closes the
+connection: 400 for a ``Content-Length`` that is no number, 411 for
+``Transfer-Encoding``, nothing for a peer that hangs up mid-body.
 """
 
 from __future__ import annotations
@@ -16,7 +19,15 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Tuple
 from urllib.parse import parse_qsl, urlsplit
 
-from repro.gateway.routers import Gateway
+from repro.gateway.errors import GatewayError, MalformedBodyError
+from repro.gateway.routers import Gateway, GatewayResponse, error_response
+
+
+class _LengthRequiredError(GatewayError):
+    """A request body framed by anything but ``Content-Length``."""
+
+    status = 411
+    code = "LENGTH_REQUIRED"
 
 
 class _GatewayHTTPServer(ThreadingHTTPServer):
@@ -34,25 +45,43 @@ class _GatewayHandler(BaseHTTPRequestHandler):
         pass
 
     def _dispatch(self) -> None:
+        # A body of unknown extent leaves the rest of the connection
+        # unreadable as requests, so every answer to one closes it.
+        length = (self.headers.get("Content-Length") or "0").strip()
+        if self.headers.get("Transfer-Encoding"):
+            return self._send(error_response(_LengthRequiredError(
+                "Transfer-Encoding is not supported; send a Content-Length"
+            )), close=True)
+        if not length.isdecimal():
+            return self._send(error_response(MalformedBodyError(
+                f"Content-Length is not a byte count: {length!r}"
+            )), close=True)
+        body = self.rfile.read(int(length))
+        if len(body) < int(length):  # the peer hung up mid-body
+            self.close_connection = True
+            return
         parsed = urlsplit(self.path)
-        length = int(self.headers.get("Content-Length") or 0)
-        body = self.rfile.read(length) if length > 0 else b""
-        response = self.server.gateway.handle(
+        self._send(self.server.gateway.handle(
             self.command,
             parsed.path,
             query=dict(parse_qsl(parsed.query)),
-            headers=dict(self.headers.items()),
+            headers=self.headers,
             body=body,
-        )
-        data = response.body_bytes()
+        ))
+
+    def _send(self, response: GatewayResponse, *, close: bool = False) -> None:
         self.send_response(response.status)
         self.send_header("Content-Type", response.content_type)
-        self.send_header("Content-Length", str(len(data)))
+        self.send_header("Content-Length", str(len(response.raw)))
         for name, value in response.headers.items():
             self.send_header(name, value)
-        self.end_headers()
-        if data:
-            self.wfile.write(data)
+        if close:
+            self.send_header("Connection", "close")
+        # The body joins the buffered head and both leave in one write: a
+        # second small send on the unbuffered ``wfile`` would wait out
+        # Nagle's algorithm against the client's delayed ACK (~44 ms).
+        self._headers_buffer += (b"\r\n", response.raw)
+        self.flush_headers()
 
     do_GET = _dispatch
     do_POST = _dispatch
