@@ -504,7 +504,8 @@ class FabricCluster:
     # ------------------------------------------------------------------ #
     # Authorization
     # ------------------------------------------------------------------ #
-    def _authorize(self, principal: Optional[str], operation: str, topic: str) -> None:
+    def authorize(self, principal: Optional[str], operation: str, topic: str) -> None:
+        """The data-plane hook: AuthorizationError unless the authorizer allows."""
         if not self._authorizer(principal, operation, topic):
             raise AuthorizationError(
                 f"principal {principal!r} is not authorized to {operation} topic {topic!r}"
@@ -525,7 +526,7 @@ class FabricCluster:
         authorized = session._authorized_topics
         for topic in topics:
             if topic not in authorized:
-                self._authorize(session.principal, "READ", topic)
+                self.authorize(session.principal, "READ", topic)
                 self.topic(topic)  # raises UnknownTopicError
                 authorized.add(topic)
 
@@ -622,7 +623,7 @@ class FabricCluster:
         payload bytes, feeds persistence sinks and producer metadata
         without re-encoding anything.
         """
-        self._authorize(principal, "WRITE", topic_name)
+        self.authorize(principal, "WRITE", topic_name)
         topic = self.topic(topic_name)
         leader = self._leader_for(topic_name, partition)  # unknown partition raises
         # Snapshot the leader epoch *after* leader resolution (which may

@@ -24,6 +24,7 @@ from repro.gateway.errors import (
     FABRIC_STATUS,
     DrainingError,
     GatewayError,
+    LengthRequiredError,
     MalformedBodyError,
     MethodNotAllowedError,
     RouteNotFoundError,
@@ -36,8 +37,6 @@ from repro.gateway.errors import (
 from repro.gateway.routers import (
     BATCH_CONTENT_TYPE,
     JSON_CONTENT_TYPE,
-    ControlPlaneRouter,
-    DataPlaneRouter,
     Gateway,
     GatewayRequest,
     GatewayResponse,
@@ -47,8 +46,6 @@ from repro.gateway.server import GatewayServer
 __all__ = [
     "BATCH_CONTENT_TYPE",
     "JSON_CONTENT_TYPE",
-    "ControlPlaneRouter",
-    "DataPlaneRouter",
     "DrainingError",
     "FABRIC_STATUS",
     "Gateway",
@@ -56,6 +53,7 @@ __all__ = [
     "GatewayRequest",
     "GatewayResponse",
     "GatewayServer",
+    "LengthRequiredError",
     "MalformedBodyError",
     "MethodNotAllowedError",
     "RouteNotFoundError",

@@ -18,6 +18,7 @@ leaking its message.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict, Mapping, Optional, Tuple, Type
 
 from repro.fabric import errors as fabric_errors
@@ -29,10 +30,25 @@ class GatewayError(Exception):
     status = 500
     code = "INTERNAL"
     retriable = False
+    #: Seconds a client should back off; errors that set one answer with a
+    #: ``Retry-After`` header.
+    retry_after: Optional[float] = None
 
-    def __init__(self, message: str, *, details: Optional[Mapping[str, Any]] = None):
+    def __init__(
+        self,
+        message: str,
+        *,
+        details: Optional[Mapping[str, Any]] = None,
+        retry_after: Optional[float] = None,
+    ):
         super().__init__(message)
         self.details = dict(details) if details else None
+        if retry_after is not None:
+            self.retry_after = retry_after
+        self.headers: Dict[str, str] = {}
+        if self.retry_after is not None:
+            # ``Retry-After`` wants whole seconds; round up, floor at 1.
+            self.headers["Retry-After"] = str(max(1, math.ceil(self.retry_after)))
 
 
 class SchemaError(GatewayError):
@@ -94,9 +110,11 @@ class ServiceUnavailableError(GatewayError):
     retriable = True
 
 
-def _retry_after_header(seconds: float) -> Dict[str, str]:
-    """``Retry-After`` wants whole seconds; round up, floor at 1."""
-    return {"Retry-After": str(max(1, int(-(-seconds // 1))))}
+class LengthRequiredError(GatewayError):
+    """A request body framed by anything but ``Content-Length``."""
+
+    status = 411
+    code = "LENGTH_REQUIRED"
 
 
 class TooManyRequestsError(GatewayError):
@@ -111,17 +129,7 @@ class TooManyRequestsError(GatewayError):
     status = 429
     code = "TOO_MANY_REQUESTS"
     retriable = True
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        retry_after: float = 1.0,
-        details: Optional[Mapping[str, Any]] = None,
-    ):
-        super().__init__(message, details=details)
-        self.retry_after = retry_after
-        self.headers = _retry_after_header(retry_after)
+    retry_after = 1.0
 
 
 class DrainingError(GatewayError):
@@ -137,17 +145,7 @@ class DrainingError(GatewayError):
     status = 503
     code = "DRAINING"
     retriable = True
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        retry_after: float = 1.0,
-        details: Optional[Mapping[str, Any]] = None,
-    ):
-        super().__init__(message, details=details)
-        self.retry_after = retry_after
-        self.headers = _retry_after_header(retry_after)
+    retry_after = 1.0
 
 
 #: FabricError class -> HTTP status.  ``code``/``retriable`` ride on the
@@ -187,30 +185,19 @@ def error_body(exc: BaseException) -> Tuple[int, Dict[str, Any]]:
     deliberately not echoed to the client.
     """
     if isinstance(exc, GatewayError):
-        body: Dict[str, Any] = {
-            "code": exc.code,
-            "message": str(exc),
-            "retriable": exc.retriable,
+        status = exc.status
+    elif isinstance(exc, fabric_errors.FabricError):
+        status = next(FABRIC_STATUS[k] for k in type(exc).__mro__ if k in FABRIC_STATUS)
+    else:
+        return 500, {
+            "code": "INTERNAL",
+            "message": "internal gateway error",
+            "retriable": False,
         }
-        if exc.details:
-            body["details"] = exc.details
-        return exc.status, body
-    if isinstance(exc, fabric_errors.FabricError):
-        status = 500
-        for klass in type(exc).__mro__:
-            if klass in FABRIC_STATUS:
-                status = FABRIC_STATUS[klass]
-                break
-        return status, {
-            "code": exc.code,
-            "message": str(exc),
-            "retriable": exc.retriable,
-        }
-    return 500, {
-        "code": "INTERNAL",
-        "message": "internal gateway error",
-        "retriable": False,
-    }
+    body: Dict[str, Any] = {"code": exc.code, "message": str(exc), "retriable": exc.retriable}
+    if isinstance(exc, GatewayError) and exc.details:
+        body["details"] = exc.details
+    return status, body
 
 
 __all__ = [
@@ -221,6 +208,7 @@ __all__ = [
     "RouteNotFoundError",
     "MethodNotAllowedError",
     "ServiceUnavailableError",
+    "LengthRequiredError",
     "TooManyRequestsError",
     "DrainingError",
     "FABRIC_STATUS",

@@ -8,10 +8,12 @@ are all collected (not first-error-only) and raised as one
 :class:`~repro.gateway.errors.SchemaError` whose ``details.fields`` maps
 every offending field to its reason.  Models that need more than type
 shape (non-empty lists, enum-ish values) override :meth:`Model._validate`
-and report through the same channel.
+and report through the same channel.  A ``List[<Model subclass>]`` field
+parses each element with that model and reports its errors as
+``field[i].name``.
 
-Responses are plain dataclasses rendered with :func:`dataclasses.asdict`
-by the router; only requests need parsing.
+Responses are the plain dicts route handlers return; only requests need
+parsing.
 """
 
 from __future__ import annotations
@@ -91,14 +93,23 @@ def _conforms(value: Any, expected: Any) -> bool:
 
 
 @functools.cache
-def _schema(cls: type) -> Dict[str, Tuple[Any, bool]]:
-    """``field name -> (annotation, required)`` of a model class, resolved
-    once: ``get_type_hints`` compiles every (string) annotation it reads."""
+def _schema(cls: type) -> Dict[str, Tuple[Any, bool, Optional[type]]]:
+    """``field name -> (annotation, required, item model)`` of a model class,
+    resolved once: ``get_type_hints`` compiles every (string) annotation it
+    reads.  A ``List[<Model subclass>]`` field is checked as an array of
+    objects, and its item model parses each element."""
     hints = typing.get_type_hints(cls)
-    return {
-        f.name: (hints[f.name], f.default is f.default_factory is dataclasses.MISSING)
-        for f in dataclasses.fields(cls)
-    }
+    schema = {}
+    for f in dataclasses.fields(cls):
+        expected = hints[f.name]
+        item = typing.get_args(expected)[0] if typing.get_origin(expected) is list else None
+        if isinstance(item, type) and issubclass(item, Model):
+            expected = List[dict]
+        else:
+            item = None
+        required = f.default is f.default_factory is dataclasses.MISSING
+        schema[f.name] = (expected, required, item)
+    return schema
 
 
 @dataclass(frozen=True)
@@ -109,28 +120,41 @@ class Model:
     def parse(cls, payload: Any) -> "Model":
         if not isinstance(payload, dict):
             raise SchemaError({"body": "request body must be a JSON object"})
+        errors: Dict[str, str] = {}
+        instance = cls._build(payload, errors, "")
+        if errors:
+            raise SchemaError(errors)
+        return instance
+
+    @classmethod
+    def _build(cls, payload: Dict[str, Any], errors: Dict[str, str], prefix: str) -> Any:
+        """An instance of ``payload``, or ``None`` once anything is reported
+        into ``errors`` (each field name under ``prefix``)."""
         schema = _schema(cls)
-        errors = {key: "unknown field" for key in payload if key not in schema}
+        own = {key: "unknown field" for key in payload if key not in schema}
         values: Dict[str, Any] = {}
-        for name, (expected, required) in schema.items():
+        for name, (expected, required, item) in schema.items():
             raw = payload.get(name, _MISSING)
             if raw is _MISSING:
                 if required:
-                    errors[name] = f"required field (expected {_describe(expected)})"
+                    own[name] = f"required field (expected {_describe(expected)})"
                 continue
             if not _conforms(raw, expected):
-                errors[name] = (
+                own[name] = (
                     f"expected {_describe(expected)}, "
                     f"got {_TYPE_NAMES.get(type(raw), type(raw).__name__)}"
                 )
                 continue
+            if item is not None:
+                raw = [item._build(entry, own, f"{name}[{i}].") for i, entry in enumerate(raw)]
             values[name] = raw
-        if not errors:
+        if not own:
             instance = cls(**values)
-            instance._validate(errors)
-            if not errors:
+            instance._validate(own)
+            if not own:
                 return instance
-        raise SchemaError(errors)
+        errors.update((prefix + key, reason) for key, reason in own.items())
+        return None
 
     def _validate(self, errors: Dict[str, str]) -> None:
         """Override to add semantic checks; report into ``errors``."""
@@ -247,17 +271,12 @@ class FetchRequestEntry(Model):
 class BatchFetchRequest(Model):
     """``POST /v1/fetch`` — multi-partition fetch riding one fetch session."""
 
-    requests: List[Dict[str, Any]]
+    requests: List[FetchRequestEntry]
     max_records: int = 500
     max_bytes: Optional[int] = None
     max_wait_ms: int = 0
     min_bytes: int = 1
     isolation: str = "committed"
-
-    #: Parsed ``requests`` entries, installed per-instance by
-    #: ``_validate`` (a ClassVar so it is not a schema field — clients
-    #: send ``requests``, never this).
-    entries: typing.ClassVar[Tuple[FetchRequestEntry, ...]] = ()
 
     def _validate(self, errors: Dict[str, str]) -> None:
         if not self.requests:
@@ -270,15 +289,6 @@ class BatchFetchRequest(Model):
             errors["min_bytes"] = "must be >= 1"
         if self.isolation not in ("committed", "uncommitted"):
             errors["isolation"] = "must be 'committed' or 'uncommitted'"
-        parsed = []
-        for index, entry in enumerate(self.requests):
-            try:
-                parsed.append(FetchRequestEntry.parse(entry))
-            except SchemaError as exc:
-                for fname, reason in (exc.details or {}).get("fields", {}).items():
-                    errors[f"requests[{index}].{fname}"] = reason
-        if not errors:
-            object.__setattr__(self, "entries", tuple(parsed))
 
 
 @dataclass(frozen=True)
@@ -292,26 +302,14 @@ class OffsetCommitEntry(Model):
 class CommitRequest(Model):
     """``POST /v1/groups/{group}/offsets`` — batched atomic group commit."""
 
-    offsets: List[Dict[str, Any]]
+    offsets: List[OffsetCommitEntry]
     generation: Optional[int] = None
     member_id: Optional[str] = None
     metadata: str = ""
 
-    #: Parsed ``offsets`` entries (ClassVar: see BatchFetchRequest.entries).
-    entries: typing.ClassVar[Tuple[OffsetCommitEntry, ...]] = ()
-
     def _validate(self, errors: Dict[str, str]) -> None:
         if not self.offsets:
             errors["offsets"] = "must contain at least one offset"
-        parsed = []
-        for index, entry in enumerate(self.offsets):
-            try:
-                parsed.append(OffsetCommitEntry.parse(entry))
-            except SchemaError as exc:
-                for fname, reason in (exc.details or {}).get("fields", {}).items():
-                    errors[f"offsets[{index}].{fname}"] = reason
-        if not errors:
-            object.__setattr__(self, "entries", tuple(parsed))
 
 
 @dataclass(frozen=True)

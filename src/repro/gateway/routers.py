@@ -1,4 +1,4 @@
-"""The gateway application: control-plane and data-plane routers.
+"""The gateway application: one route table and one dispatcher.
 
 :class:`Gateway` is transport-agnostic — :meth:`Gateway.handle` takes
 ``(method, path, query, headers, body)`` and returns a
@@ -7,17 +7,17 @@ schema-validation, authorization and error-mapping stack in-process,
 while :mod:`repro.gateway.server` mounts the same object behind a real
 threaded HTTP socket.
 
-Two routers share the one application:
-
-* the **control plane** wraps :class:`~repro.fabric.admin.FabricAdmin` —
-  every request builds a per-principal admin view, so the existing
-  ``(principal, operation, resource)`` authorization hook guards each
-  wire operation exactly as it guards in-process callers;
-* the **data plane** serves batched produce (JSON or packed wire-format
-  passthrough), long-poll fetch riding pooled
-  :class:`~repro.fabric.cluster.FetchSession` objects, batched group
-  offset commits via ``commit_group`` and the cooperative consumer-group
-  protocol (join / heartbeat / sync / leave).
+Every endpoint is one row of :data:`ROUTES`: method, path pattern,
+handler, request model and success status.  A handler is a plain
+function ``(gateway, request, body) -> payload`` where ``body`` is the
+parsed model (or ``None``); matching, admission, the cluster dependency,
+parsing, the status and the JSON encode happen once, in
+:meth:`Gateway.handle`.  Administrative rows act through a per-principal
+:class:`~repro.fabric.admin.FabricAdmin`, so the admin ``(principal,
+operation, resource)`` hook guards each wire operation exactly as it
+guards in-process callers; every other row that names a topic is checked
+by the cluster's data-plane hook,
+:meth:`~repro.fabric.cluster.FabricCluster.authorize`.
 
 The principal is extracted from ``Authorization: Bearer <principal>``
 (or ``X-Repro-Principal``); no header means the anonymous principal,
@@ -28,17 +28,19 @@ from __future__ import annotations
 
 import base64
 import contextlib
+import functools
 import json
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Type
 
 from repro.common.retry import RetryPolicy
 from repro.common.sync import create_lock
 from repro.fabric.admin import AdminAuthorizer, FabricAdmin
 from repro.fabric.cluster import FabricCluster, FetchRequest, FetchSession
-from repro.fabric.errors import FabricError, UnknownGroupError
-from repro.fabric.record import EventRecord, PackedRecordBatch, StoredRecord
+from repro.fabric.errors import UnknownGroupError
+from repro.fabric.record import EventRecord, PackedRecordBatch, PackedView, StoredRecord
+from repro.fabric.topic import TopicConfig
 from repro.gateway import models
 from repro.gateway.errors import (
     DrainingError,
@@ -52,7 +54,7 @@ from repro.gateway.errors import (
     error_body,
 )
 
-#: Content type of the packed-batch wire image (PR 7 v1 format).  Bodies
+#: Content type of the packed-batch wire image (the v1 format).  Bodies
 #: of this type cross the gateway into storage without re-encoding.
 BATCH_CONTENT_TYPE = "application/vnd.repro.batch.v1"
 
@@ -63,8 +65,6 @@ JSON_CONTENT_TYPE = "application/json"
 class GatewayRequest:
     """Everything a handler needs, already parsed."""
 
-    method: str
-    path: str
     params: Dict[str, str]
     query: Mapping[str, str]
     headers: Mapping[str, str]
@@ -98,20 +98,18 @@ class GatewayRequest:
 
 @dataclass
 class GatewayResponse:
-    """What a handler returns; :meth:`Gateway.handle` encodes it."""
+    """What :meth:`Gateway.handle` returns; a handler returns one only to
+    answer with a status other than its route's."""
 
     status: int = 200
     payload: Any = None
-    content_type: str = JSON_CONTENT_TYPE
-    #: The encoded body: ``None`` as handlers build it, filled in on every
-    #: response :meth:`Gateway.handle` returns, so a transport writes bytes.
+    #: The encoded JSON body: ``None`` until :meth:`encoded`, filled in on
+    #: every response :meth:`Gateway.handle` returns, so a transport writes bytes.
     raw: Optional[bytes] = None
     #: Extra response headers (e.g. ``Retry-After`` on 429/503).
     headers: Dict[str, str] = field(default_factory=dict)
 
     def body_bytes(self) -> bytes:
-        if self.raw is not None:
-            return self.raw
         if self.payload is None:
             return b""
         return json.dumps(self.payload).encode("utf-8")
@@ -129,14 +127,22 @@ def error_response(exc: BaseException) -> GatewayResponse:
     return GatewayResponse(status, payload, headers=dict(extra)).encoded()
 
 
-Handler = Callable[[GatewayRequest], GatewayResponse]
+#: ``(gateway, request, parsed body or None) -> payload``.
+Handler = Callable[["Gateway", GatewayRequest, Any], Any]
 
 
 @dataclass(frozen=True)
 class Route:
+    """One row of the route table."""
+
     method: str
     pattern: str
     handler: Handler
+    #: Parses the JSON body before the handler runs; ``None`` for a row
+    #: without a body or one that reads its body itself.
+    model: Optional[Type[models.Model]] = None
+    #: The status of a successful answer.
+    status: int = 200
     segments: Tuple[str, ...] = field(init=False)
     #: Per segment, the name of a ``{name}`` one and "" for a fixed one,
     #: so that matching a request parses no braces.
@@ -180,278 +186,265 @@ def _record_payload(stored: StoredRecord) -> Dict[str, Any]:
     return payload
 
 
-class ControlPlaneRouter:
-    """Wire front for :class:`FabricAdmin` — metadata, never records."""
+def _authorize_read(
+    cluster: FabricCluster, principal: Optional[str], topics: Iterable[str]
+) -> None:
+    """READ on every topic a data-plane row names, before it touches the fabric."""
+    for topic in dict.fromkeys(topics):
+        cluster.authorize(principal, "READ", topic)
 
-    def __init__(self, gateway: "Gateway") -> None:
-        self._gateway = gateway
 
-    def routes(self) -> List[Route]:
-        return [
-            Route("GET", "/v1/cluster", self.describe_cluster),
-            Route("GET", "/v1/topics", self.list_topics),
-            Route("POST", "/v1/topics", self.create_topic),
-            Route("GET", "/v1/topics/{topic}", self.describe_topic),
-            Route("DELETE", "/v1/topics/{topic}", self.delete_topic),
-            Route("PUT", "/v1/topics/{topic}/config", self.update_config),
-            Route("POST", "/v1/topics/{topic}/partitions", self.grow_partitions),
-            Route("GET", "/v1/topics/{topic}/segments", self.describe_segments),
-            Route("POST", "/v1/brokers/{broker}/fail", self.fail_broker),
-            Route("POST", "/v1/brokers/{broker}/restore", self.restore_broker),
-            Route("POST", "/v1/retention", self.run_retention),
-            Route("GET", "/v1/groups", self.list_groups),
-            Route("GET", "/v1/groups/{group}", self.describe_group),
+# ----------------------------------------------------------------------- #
+# Health probes
+# ----------------------------------------------------------------------- #
+def healthz(gateway: "Gateway", request: GatewayRequest, body: None) -> Any:
+    """Liveness: the process answers — even while draining."""
+    return {"status": "ok"}
+
+
+def readyz(gateway: "Gateway", request: GatewayRequest, body: None) -> Any:
+    """Readiness: may this instance take traffic right now?"""
+    if gateway.draining or gateway._cluster is None:
+        status = "draining" if gateway.draining else "uninitialized"
+        return GatewayResponse(503, {"status": status, "ready": False})
+    return {"status": "ready", "ready": True}
+
+
+# ----------------------------------------------------------------------- #
+# Administration: metadata, never records
+# ----------------------------------------------------------------------- #
+def describe_cluster(gateway: "Gateway", request: GatewayRequest, body: None) -> Any:
+    return gateway.admin_for(request.principal).describe_cluster()
+
+
+def list_topics(gateway: "Gateway", request: GatewayRequest, body: None) -> Any:
+    return {"topics": gateway.admin_for(request.principal).list_topics()}
+
+
+def create_topic(gateway: "Gateway", request: GatewayRequest,
+                 body: models.TopicCreateRequest) -> Any:
+    config = TopicConfig.from_dict(body.config) if body.config else None
+    return gateway.admin_for(request.principal).create_topic(body.name, config).describe()
+
+
+def describe_topic(gateway: "Gateway", request: GatewayRequest, body: None) -> Any:
+    return gateway.admin_for(request.principal).describe_topic(request.params["topic"])
+
+
+def delete_topic(gateway: "Gateway", request: GatewayRequest, body: None) -> Any:
+    name = request.params["topic"]
+    gateway.admin_for(request.principal).delete_topic(name)
+    return {"deleted": name}
+
+
+def update_config(gateway: "Gateway", request: GatewayRequest,
+                  body: models.TopicConfigUpdateRequest) -> Any:
+    admin = gateway.admin_for(request.principal)
+    return {"config": admin.update_topic_config(request.params["topic"], **body.updates).to_dict()}
+
+
+def grow_partitions(gateway: "Gateway", request: GatewayRequest,
+                    body: models.PartitionGrowRequest) -> Any:
+    admin = gateway.admin_for(request.principal)
+    return {"config": admin.set_partitions(request.params["topic"], body.num_partitions).to_dict()}
+
+
+def describe_segments(gateway: "Gateway", request: GatewayRequest, body: None) -> Any:
+    partition = request.int_query("partition", None)
+    return gateway.admin_for(request.principal).describe_segments(
+        request.params["topic"], partition
+    )
+
+
+def fail_broker(gateway: "Gateway", request: GatewayRequest, body: None) -> Any:
+    broker_id = request.int_param("broker")
+    moved = gateway.admin_for(request.principal).fail_broker(broker_id)
+    return {"broker": broker_id, "reassigned": [a.describe() for a in moved]}
+
+
+def restore_broker(gateway: "Gateway", request: GatewayRequest, body: None) -> Any:
+    broker_id = request.int_param("broker")
+    gateway.admin_for(request.principal).restore_broker(broker_id)
+    return {"broker": broker_id, "online": True}
+
+
+def run_retention(gateway: "Gateway", request: GatewayRequest, body: None) -> Any:
+    topic = request.query.get("topic")
+    return {"removed": gateway.admin_for(request.principal).run_retention(topic)}
+
+
+def list_groups(gateway: "Gateway", request: GatewayRequest, body: None) -> Any:
+    return {"groups": gateway.admin_for(request.principal).list_groups()}
+
+
+def describe_group(gateway: "Gateway", request: GatewayRequest, body: None) -> Any:
+    admin = gateway.admin_for(request.principal)
+    group_id = request.params["group"]
+    if group_id not in admin.list_groups():
+        raise UnknownGroupError(f"consumer group {group_id!r} is not known")
+    return admin.describe_group(group_id)
+
+
+# ----------------------------------------------------------------------- #
+# Produce, fetch, commit and the consumer-group protocol
+# ----------------------------------------------------------------------- #
+def produce(gateway: "Gateway", request: GatewayRequest, body: None) -> Any:
+    """JSON or wire-format produce; the row has no model because a
+    wire-format body is not JSON."""
+    cluster = gateway.cluster()
+    topic = request.params["topic"]
+    partition = request.int_param("partition")
+    content_type = request.headers.get("content-type", JSON_CONTENT_TYPE)
+    content_type = content_type.split(";", 1)[0].strip().lower()
+    if content_type in (BATCH_CONTENT_TYPE, "application/octet-stream"):
+        # Wire-format passthrough: the body is a sealed (possibly
+        # compressed) packed-batch image.  from_bytes keeps a
+        # zero-copy view over it and append ingress verifies the
+        # CRC — the records are never decoded or re-encoded here.
+        if not request.body:
+            raise MalformedBodyError("empty packed-batch body")
+        packed = PackedRecordBatch.from_bytes(request.body)
+        metadata = cluster.append_batch(
+            topic, partition, packed, acks=_acks_from_query(request),
+            principal=request.principal,
+        )
+    elif content_type == JSON_CONTENT_TYPE:
+        req = models.ProduceRequest.parse(request.json())
+        now = cluster.clock.now()
+        records = [
+            EventRecord(
+                value=entry["value"],
+                key=entry.get("key"),
+                headers=entry.get("headers") or {},
+                timestamp=entry.get("timestamp", now),
+            )
+            for entry in req.records
         ]
-
-    def _admin(self, request: GatewayRequest) -> FabricAdmin:
-        return self._gateway.admin_for(request.principal)
-
-    # -- topics -------------------------------------------------------- #
-    def create_topic(self, request: GatewayRequest) -> GatewayResponse:
-        req = models.TopicCreateRequest.parse(request.json())
-        from repro.fabric.topic import TopicConfig
-
-        config = TopicConfig.from_dict(req.config) if req.config else None
-        topic = self._admin(request).create_topic(req.name, config)
-        return GatewayResponse(201, topic.describe())
-
-    def list_topics(self, request: GatewayRequest) -> GatewayResponse:
-        return GatewayResponse(200, {"topics": self._admin(request).list_topics()})
-
-    def describe_topic(self, request: GatewayRequest) -> GatewayResponse:
-        return GatewayResponse(
-            200, self._admin(request).describe_topic(request.params["topic"])
+        metadata = cluster.append_batch(
+            topic, partition, records, acks=req.acks, principal=request.principal
         )
-
-    def delete_topic(self, request: GatewayRequest) -> GatewayResponse:
-        name = request.params["topic"]
-        self._admin(request).delete_topic(name)
-        return GatewayResponse(200, {"deleted": name})
-
-    def update_config(self, request: GatewayRequest) -> GatewayResponse:
-        req = models.TopicConfigUpdateRequest.parse(request.json())
-        config = self._admin(request).update_topic_config(
-            request.params["topic"], **req.updates
+    else:
+        raise UnsupportedMediaTypeError(
+            f"produce accepts {JSON_CONTENT_TYPE} or {BATCH_CONTENT_TYPE}, "
+            f"got {content_type!r}"
         )
-        return GatewayResponse(200, {"config": config.to_dict()})
-
-    def grow_partitions(self, request: GatewayRequest) -> GatewayResponse:
-        req = models.PartitionGrowRequest.parse(request.json())
-        config = self._admin(request).set_partitions(
-            request.params["topic"], req.num_partitions
-        )
-        return GatewayResponse(200, {"config": config.to_dict()})
-
-    def describe_segments(self, request: GatewayRequest) -> GatewayResponse:
-        partition = request.int_query("partition", None)
-        return GatewayResponse(
-            200,
-            self._admin(request).describe_segments(
-                request.params["topic"], partition
-            ),
-        )
-
-    # -- brokers ------------------------------------------------------- #
-    def fail_broker(self, request: GatewayRequest) -> GatewayResponse:
-        broker_id = request.int_param("broker")
-        moved = self._admin(request).fail_broker(broker_id)
-        return GatewayResponse(
-            200,
-            {"broker": broker_id, "reassigned": [a.describe() for a in moved]},
-        )
-
-    def restore_broker(self, request: GatewayRequest) -> GatewayResponse:
-        broker_id = request.int_param("broker")
-        self._admin(request).restore_broker(broker_id)
-        return GatewayResponse(200, {"broker": broker_id, "online": True})
-
-    # -- cluster ------------------------------------------------------- #
-    def describe_cluster(self, request: GatewayRequest) -> GatewayResponse:
-        return GatewayResponse(200, self._admin(request).describe_cluster())
-
-    def run_retention(self, request: GatewayRequest) -> GatewayResponse:
-        topic = request.query.get("topic")
-        removed = self._admin(request).run_retention(topic)
-        return GatewayResponse(200, {"removed": removed})
-
-    # -- groups -------------------------------------------------------- #
-    def list_groups(self, request: GatewayRequest) -> GatewayResponse:
-        return GatewayResponse(200, {"groups": self._admin(request).list_groups()})
-
-    def describe_group(self, request: GatewayRequest) -> GatewayResponse:
-        admin = self._admin(request)
-        group_id = request.params["group"]
-        if group_id not in admin.list_groups():
-            raise UnknownGroupError(f"consumer group {group_id!r} is not known")
-        return GatewayResponse(200, admin.describe_group(group_id))
+    return {
+        "topic": topic,
+        "partition": partition,
+        "count": len(metadata),
+        "base_offset": metadata[0].offset if metadata else None,
+        "last_offset": metadata[-1].offset if metadata else None,
+    }
 
 
-class DataPlaneRouter:
-    """Wire front for the produce / fetch / commit / group hot paths."""
+def _acks_from_query(request: GatewayRequest) -> object:
+    raw = request.query.get("acks", "1")
+    if raw in ("0", "1"):
+        return int(raw)
+    if raw == "all":
+        return "all"
+    raise SchemaError({"acks": "must be 0, 1 or 'all'"})
 
-    def __init__(self, gateway: "Gateway") -> None:
-        self._gateway = gateway
 
-    def routes(self) -> List[Route]:
-        return [
-            Route(
-                "POST",
-                "/v1/topics/{topic}/partitions/{partition}/records",
-                self.produce,
-            ),
-            Route(
-                "GET",
-                "/v1/topics/{topic}/partitions/{partition}/records",
-                self.fetch,
-            ),
-            Route("GET", "/v1/topics/{topic}/offsets", self.topic_offsets),
-            Route("POST", "/v1/fetch", self.batch_fetch),
-            Route("POST", "/v1/groups/{group}/offsets", self.commit_offsets),
-            Route("GET", "/v1/groups/{group}/offsets", self.committed_offsets),
-            Route("POST", "/v1/groups/{group}/members", self.join_group),
-            Route(
-                "DELETE", "/v1/groups/{group}/members/{member}", self.leave_group
-            ),
-            Route(
-                "POST",
-                "/v1/groups/{group}/members/{member}/heartbeat",
-                self.heartbeat,
-            ),
-            Route("POST", "/v1/groups/{group}/members/{member}/sync", self.sync),
-        ]
+def _isolation_from_query(request: GatewayRequest) -> str:
+    isolation = request.query.get("isolation", "committed")
+    if isolation not in ("committed", "uncommitted"):
+        raise SchemaError({"isolation": "must be 'committed' or 'uncommitted'"})
+    return isolation
 
-    # -- produce ------------------------------------------------------- #
-    def produce(self, request: GatewayRequest) -> GatewayResponse:
-        cluster = self._gateway.cluster()
-        topic = request.params["topic"]
-        partition = request.int_param("partition")
-        content_type = request.headers.get("content-type", JSON_CONTENT_TYPE)
-        content_type = content_type.split(";", 1)[0].strip().lower()
-        if content_type in (BATCH_CONTENT_TYPE, "application/octet-stream"):
-            # Wire-format passthrough: the body is a sealed (possibly
-            # compressed) packed-batch image.  from_bytes keeps a
-            # zero-copy view over it and append ingress verifies the
-            # CRC — the records are never decoded or re-encoded here.
-            if not request.body:
-                raise MalformedBodyError("empty packed-batch body")
-            packed = PackedRecordBatch.from_bytes(request.body)
-            acks = self._acks_from_query(request)
-            metadata = cluster.append_batch(
-                topic, partition, packed, acks=acks, principal=request.principal
-            )
-        elif content_type == JSON_CONTENT_TYPE:
-            req = models.ProduceRequest.parse(request.json())
-            now = cluster.clock.now()
-            records = [
-                EventRecord(
-                    value=entry["value"],
-                    key=entry.get("key"),
-                    headers=entry.get("headers") or {},
-                    timestamp=entry.get("timestamp", now),
-                )
-                for entry in req.records
-            ]
-            metadata = cluster.append_batch(
-                topic, partition, records, acks=req.acks, principal=request.principal
-            )
-        else:
-            raise UnsupportedMediaTypeError(
-                f"produce accepts {JSON_CONTENT_TYPE} or {BATCH_CONTENT_TYPE}, "
-                f"got {content_type!r}"
-            )
-        return GatewayResponse(
-            201,
-            {
-                "topic": topic,
-                "partition": partition,
-                "count": len(metadata),
-                "base_offset": metadata[0].offset if metadata else None,
-                "last_offset": metadata[-1].offset if metadata else None,
-            },
-        )
 
-    @staticmethod
-    def _acks_from_query(request: GatewayRequest) -> object:
-        raw = request.query.get("acks", "1")
-        if raw in ("0", "1"):
-            return int(raw)
-        if raw == "all":
-            return "all"
-        raise SchemaError({"acks": "must be 0, 1 or 'all'"})
+#: Transient fabric errors on the fetch path (a leader mid failover, a
+#: flapping broker) retry briefly instead of failing the request.
+FETCH_RETRY_POLICY = RetryPolicy(
+    max_attempts=3, base_backoff=0.025, multiplier=2.0, max_backoff=0.1
+)
 
-    # -- fetch --------------------------------------------------------- #
-    @staticmethod
-    def _isolation_from_query(request: GatewayRequest) -> str:
-        isolation = request.query.get("isolation", "committed")
-        if isolation not in ("committed", "uncommitted"):
-            raise SchemaError({"isolation": "must be 'committed' or 'uncommitted'"})
-        return isolation
 
-    def fetch(self, request: GatewayRequest) -> GatewayResponse:
-        cluster = self._gateway.cluster()
-        topic = request.params["topic"]
-        partition = request.int_param("partition")
-        offset = request.int_query("offset", 0)
-        max_records = request.int_query("max_records", 500)
-        max_bytes = request.int_query("max_bytes", None)
-        max_wait_ms = request.int_query("max_wait_ms", 0)
-        min_bytes = request.int_query("min_bytes", 1)
-        isolation = self._isolation_from_query(request)
-        requests = [FetchRequest(topic, partition, offset)]
+def _long_poll(
+    gateway: "Gateway",
+    request: GatewayRequest,
+    requests: List[FetchRequest],
+    *,
+    max_wait_ms: int,
+    min_bytes: int,
+    **fetch_options: Any,
+) -> Dict[Tuple[str, int], PackedView]:
+    """Fetch on a pooled session (``fetch_options`` go to
+    :meth:`FetchSession.fetch`), and park on the cluster's append signal
+    until ``min_bytes`` are served or ``max_wait_ms`` has passed.
 
-        def fetch_once(session: FetchSession):
-            served = session.fetch(
-                requests,
-                max_records=max_records,
-                max_bytes=max_bytes,
-                isolation=isolation,
-            )
-            records = served.get((topic, partition))
-            if records is None:
-                return [], 0
-            return records, records.size_bytes()
+    The snapshot-then-wait protocol (read ``append_version`` *before*
+    fetching) closes the classic long-poll race: a produce landing
+    between an empty fetch and the wait has already moved the version,
+    so :meth:`FabricCluster.wait_for_data` returns without blocking and
+    the loop re-fetches immediately.  Deadlines ride the cluster clock,
+    so the gateway stays free of raw ``time`` calls.
 
-        with self._gateway.session(request.principal) as session:
-            records = self._long_poll(
-                cluster, lambda: fetch_once(session), max_wait_ms, min_bytes
-            )
-        payload = [_record_payload(r) for r in records]
-        return GatewayResponse(
-            200,
-            {
-                "topic": topic,
-                "partition": partition,
-                "records": payload,
-                "next_offset": (
-                    payload[-1]["offset"] + 1 if payload else offset
-                ),
-                "high_watermark": cluster.high_watermark(topic, partition),
-                "log_end_offset": cluster.end_offset(topic, partition),
-            },
-        )
+    Transient fabric errors (a leader mid failover, a broker flapping)
+    go through :data:`FETCH_RETRY_POLICY` instead of failing the request
+    on first touch, and a draining gateway returns whatever the poll has
+    so far — :meth:`Gateway.begin_drain` wakes parked waiters via
+    :meth:`FabricCluster.interrupt_waiters`, and the drain check here
+    turns that wake-up into a prompt return.
+    """
+    cluster = gateway.cluster()
+    clock = cluster.clock
+    deadline = clock.now() + max_wait_ms / 1000.0
+    with gateway.session(request.principal) as session:
+        fetch_once = functools.partial(session.fetch, requests, **fetch_options)
+        while True:
+            version = cluster.append_version
+            served = FETCH_RETRY_POLICY.call(fetch_once, clock=clock)
+            if max_wait_ms <= 0 or gateway.draining:
+                return served
+            if sum(records.size_bytes() for records in served.values()) >= min_bytes:
+                return served
+            remaining = deadline - clock.now()
+            if remaining <= 0:
+                return served
+            cluster.wait_for_data(version, remaining)
 
-    def batch_fetch(self, request: GatewayRequest) -> GatewayResponse:
-        cluster = self._gateway.cluster()
-        req = models.BatchFetchRequest.parse(request.json())
-        requests = [
-            FetchRequest(e.topic, e.partition, e.offset, e.max_records)
-            for e in req.entries
-        ]
 
-        def fetch_once(session: FetchSession):
-            served = session.fetch(
-                requests,
-                max_records=req.max_records,
-                max_bytes=req.max_bytes,
-                isolation=req.isolation,
-            )
-            return served, sum(records.size_bytes() for records in served.values())
+def fetch(gateway: "Gateway", request: GatewayRequest, body: None) -> Any:
+    topic = request.params["topic"]
+    partition = request.int_param("partition")
+    offset = request.int_query("offset", 0)
+    served = _long_poll(
+        gateway,
+        request,
+        [FetchRequest(topic, partition, offset)],
+        max_records=request.int_query("max_records", 500),
+        max_bytes=request.int_query("max_bytes", None),
+        max_wait_ms=request.int_query("max_wait_ms", 0),
+        min_bytes=request.int_query("min_bytes", 1),
+        isolation=_isolation_from_query(request),
+    )
+    records = [_record_payload(r) for r in served.get((topic, partition), ())]
+    cluster = gateway.cluster()
+    return {
+        "topic": topic,
+        "partition": partition,
+        "records": records,
+        "next_offset": records[-1]["offset"] + 1 if records else offset,
+        "high_watermark": cluster.high_watermark(topic, partition),
+        "log_end_offset": cluster.end_offset(topic, partition),
+    }
 
-        with self._gateway.session(request.principal) as session:
-            served = self._long_poll(
-                cluster, lambda: fetch_once(session), req.max_wait_ms, req.min_bytes
-            )
-        partitions = [
+
+def batch_fetch(gateway: "Gateway", request: GatewayRequest,
+                body: models.BatchFetchRequest) -> Any:
+    served = _long_poll(
+        gateway,
+        request,
+        [FetchRequest(e.topic, e.partition, e.offset, e.max_records) for e in body.requests],
+        max_records=body.max_records,
+        max_bytes=body.max_bytes,
+        max_wait_ms=body.max_wait_ms,
+        min_bytes=body.min_bytes,
+        isolation=body.isolation,
+    )
+    return {
+        "partitions": [
             {
                 "topic": topic,
                 "partition": partition,
@@ -459,160 +452,135 @@ class DataPlaneRouter:
             }
             for (topic, partition), records in served.items()
         ]
-        return GatewayResponse(200, {"partitions": partitions})
+    }
 
-    def _long_poll(
-        self,
-        cluster: FabricCluster,
-        fetch_once: Callable[[], Tuple[Any, int]],
-        max_wait_ms: int,
-        min_bytes: int,
-    ):
-        """Fetch, and park on the cluster's append signal until satisfied.
 
-        The snapshot-then-wait protocol (read ``append_version`` *before*
-        fetching) closes the classic long-poll race: a produce landing
-        between an empty fetch and the wait has already moved the
-        version, so :meth:`FabricCluster.wait_for_data` returns without
-        blocking and the loop re-fetches immediately.  Deadlines ride the
-        cluster clock, so the gateway stays free of raw ``time`` calls.
+def topic_offsets(gateway: "Gateway", request: GatewayRequest, body: None) -> Any:
+    cluster = gateway.cluster()
+    topic = request.params["topic"]
+    _authorize_read(cluster, request.principal, [topic])
+    end = cluster.end_offsets(topic)
+    beginning = cluster.beginning_offsets(topic)
+    return {
+        "topic": topic,
+        "partitions": {
+            str(p): {"beginning": beginning.get(p, 0), "end": end[p]} for p in sorted(end)
+        },
+    }
 
-        Two PR-10 additions: transient fabric errors (a leader mid
-        failover, a broker flapping) go through the gateway's shared
-        :class:`~repro.common.retry.RetryPolicy` instead of failing the
-        request on first touch, and a draining gateway returns whatever
-        the poll has so far — :meth:`Gateway.begin_drain` wakes parked
-        waiters via :meth:`FabricCluster.interrupt_waiters`, and the
-        drain check here turns that wake-up into a prompt return.
-        """
-        retried = self._gateway.retried_fetch(cluster, fetch_once)
-        if max_wait_ms <= 0:
-            result, _ = retried()
-            return result
-        clock = cluster.clock
-        deadline = clock.now() + max_wait_ms / 1000.0
-        while True:
-            version = cluster.append_version
-            result, nbytes = retried()
-            if nbytes >= min_bytes:
-                return result
-            if self._gateway.draining:
-                return result
-            remaining = deadline - clock.now()
-            if remaining <= 0:
-                return result
-            cluster.wait_for_data(version, remaining)
 
-    def topic_offsets(self, request: GatewayRequest) -> GatewayResponse:
-        cluster = self._gateway.cluster()
-        topic = request.params["topic"]
-        end = cluster.end_offsets(topic)
-        beginning = cluster.beginning_offsets(topic)
-        return GatewayResponse(
-            200,
-            {
-                "topic": topic,
-                "partitions": {
-                    str(p): {"beginning": beginning.get(p, 0), "end": end[p]}
-                    for p in sorted(end)
-                },
-            },
-        )
+def commit_offsets(gateway: "Gateway", request: GatewayRequest,
+                   body: models.CommitRequest) -> Any:
+    cluster = gateway.cluster()
+    group_id = request.params["group"]
+    offsets = {(e.topic, e.partition): e.offset for e in body.offsets}
+    _authorize_read(cluster, request.principal, (topic for topic, _ in offsets))
+    committed = cluster.commit_group(
+        group_id,
+        offsets,
+        generation=body.generation,
+        member_id=body.member_id,
+        metadata=body.metadata,
+    )
+    return {
+        "group": group_id,
+        "committed": [
+            {"topic": t, "partition": p, "offset": entry.offset}
+            for (t, p), entry in sorted(committed.items())
+        ],
+    }
 
-    # -- offsets ------------------------------------------------------- #
-    def commit_offsets(self, request: GatewayRequest) -> GatewayResponse:
-        cluster = self._gateway.cluster()
-        req = models.CommitRequest.parse(request.json())
-        offsets = {(e.topic, e.partition): e.offset for e in req.entries}
-        committed = cluster.commit_group(
-            request.params["group"],
-            offsets,
-            generation=req.generation,
-            member_id=req.member_id,
-            metadata=req.metadata,
-        )
-        return GatewayResponse(
-            200,
-            {
-                "group": request.params["group"],
-                "committed": [
-                    {"topic": t, "partition": p, "offset": entry.offset}
-                    for (t, p), entry in sorted(committed.items())
-                ],
-            },
-        )
 
-    def committed_offsets(self, request: GatewayRequest) -> GatewayResponse:
-        cluster = self._gateway.cluster()
-        group_id = request.params["group"]
-        offsets = cluster.offsets.group_offsets(group_id)
-        return GatewayResponse(
-            200,
-            {
-                "group": group_id,
-                "offsets": [
-                    {"topic": t, "partition": p, "offset": offset}
-                    for (t, p), offset in sorted(offsets.items())
-                ],
-            },
-        )
+def committed_offsets(gateway: "Gateway", request: GatewayRequest, body: None) -> Any:
+    group_id = request.params["group"]
+    offsets = gateway.cluster().offsets.group_offsets(group_id)
+    return {
+        "group": group_id,
+        "offsets": [
+            {"topic": t, "partition": p, "offset": offset}
+            for (t, p), offset in sorted(offsets.items())
+        ],
+    }
 
-    # -- consumer groups ----------------------------------------------- #
-    def join_group(self, request: GatewayRequest) -> GatewayResponse:
-        cluster = self._gateway.cluster()
-        req = models.JoinGroupRequest.parse(request.json())
-        partitions: List[Tuple[str, int]] = []
-        for topic in req.topics:
-            partitions.extend(cluster.partitions_for(topic))
-        member_id, generation, assignment = cluster.groups.join(
-            request.params["group"],
-            req.client_id,
-            req.topics,
-            partitions,
-            session_timeout=req.session_timeout_seconds,
-        )
-        return GatewayResponse(
-            201,
-            {
-                "group": request.params["group"],
-                "member_id": member_id,
-                "generation": generation,
-                "assignment": [list(tp) for tp in assignment],
-                "phase": cluster.groups.rebalance_phase(request.params["group"]),
-            },
-        )
 
-    def leave_group(self, request: GatewayRequest) -> GatewayResponse:
-        cluster = self._gateway.cluster()
-        generation = cluster.groups.leave(
-            request.params["group"], request.params["member"]
-        )
-        return GatewayResponse(
-            200, {"group": request.params["group"], "generation": generation}
-        )
+def join_group(gateway: "Gateway", request: GatewayRequest,
+               body: models.JoinGroupRequest) -> Any:
+    cluster = gateway.cluster()
+    group_id = request.params["group"]
+    _authorize_read(cluster, request.principal, body.topics)
+    partitions = [tp for topic in body.topics for tp in cluster.partitions_for(topic)]
+    member_id, generation, assignment = cluster.groups.join(
+        group_id,
+        body.client_id,
+        body.topics,
+        partitions,
+        session_timeout=body.session_timeout_seconds,
+    )
+    return {
+        "group": group_id,
+        "member_id": member_id,
+        "generation": generation,
+        "assignment": [list(tp) for tp in assignment],
+        "phase": cluster.groups.rebalance_phase(group_id),
+    }
 
-    def heartbeat(self, request: GatewayRequest) -> GatewayResponse:
-        cluster = self._gateway.cluster()
-        req = models.GenerationRequest.parse(request.json())
-        cluster.groups.heartbeat(
-            request.params["group"], request.params["member"], req.generation
-        )
-        return GatewayResponse(200, {"generation": req.generation})
 
-    def sync(self, request: GatewayRequest) -> GatewayResponse:
-        cluster = self._gateway.cluster()
-        req = models.GenerationRequest.parse(request.json())
-        generation, assignment = cluster.groups.sync(
-            request.params["group"], request.params["member"], req.generation
-        )
-        return GatewayResponse(
-            200,
-            {
-                "generation": generation,
-                "assignment": [list(tp) for tp in assignment],
-                "phase": cluster.groups.rebalance_phase(request.params["group"]),
-            },
-        )
+def leave_group(gateway: "Gateway", request: GatewayRequest, body: None) -> Any:
+    group_id = request.params["group"]
+    generation = gateway.cluster().groups.leave(group_id, request.params["member"])
+    return {"group": group_id, "generation": generation}
+
+
+def heartbeat(gateway: "Gateway", request: GatewayRequest,
+              body: models.GenerationRequest) -> Any:
+    gateway.cluster().groups.heartbeat(
+        request.params["group"], request.params["member"], body.generation
+    )
+    return {"generation": body.generation}
+
+
+def sync(gateway: "Gateway", request: GatewayRequest,
+         body: models.GenerationRequest) -> Any:
+    groups = gateway.cluster().groups
+    generation, assignment = groups.sync(
+        request.params["group"], request.params["member"], body.generation
+    )
+    return {
+        "generation": generation,
+        "assignment": [list(tp) for tp in assignment],
+        "phase": groups.rebalance_phase(request.params["group"]),
+    }
+
+
+#: The HTTP API, one row per endpoint.
+ROUTES: Tuple[Route, ...] = (
+    Route("GET", "/v1/healthz", healthz),
+    Route("GET", "/v1/readyz", readyz),
+    Route("GET", "/v1/cluster", describe_cluster),
+    Route("GET", "/v1/topics", list_topics),
+    Route("POST", "/v1/topics", create_topic, models.TopicCreateRequest, 201),
+    Route("GET", "/v1/topics/{topic}", describe_topic),
+    Route("DELETE", "/v1/topics/{topic}", delete_topic),
+    Route("PUT", "/v1/topics/{topic}/config", update_config, models.TopicConfigUpdateRequest),
+    Route("POST", "/v1/topics/{topic}/partitions", grow_partitions, models.PartitionGrowRequest),
+    Route("GET", "/v1/topics/{topic}/segments", describe_segments),
+    Route("POST", "/v1/brokers/{broker}/fail", fail_broker),
+    Route("POST", "/v1/brokers/{broker}/restore", restore_broker),
+    Route("POST", "/v1/retention", run_retention),
+    Route("GET", "/v1/groups", list_groups),
+    Route("GET", "/v1/groups/{group}", describe_group),
+    Route("POST", "/v1/topics/{topic}/partitions/{partition}/records", produce, status=201),
+    Route("GET", "/v1/topics/{topic}/partitions/{partition}/records", fetch),
+    Route("GET", "/v1/topics/{topic}/offsets", topic_offsets),
+    Route("POST", "/v1/fetch", batch_fetch, models.BatchFetchRequest),
+    Route("POST", "/v1/groups/{group}/offsets", commit_offsets, models.CommitRequest),
+    Route("GET", "/v1/groups/{group}/offsets", committed_offsets),
+    Route("POST", "/v1/groups/{group}/members", join_group, models.JoinGroupRequest, 201),
+    Route("DELETE", "/v1/groups/{group}/members/{member}", leave_group),
+    Route("POST", "/v1/groups/{group}/members/{member}/heartbeat", heartbeat,
+          models.GenerationRequest),
+    Route("POST", "/v1/groups/{group}/members/{member}/sync", sync, models.GenerationRequest),
+)
 
 
 class Gateway:
@@ -638,15 +606,10 @@ class Gateway:
         The back-off hint sent on 429/503 (drain) responses.
     """
 
-    #: Routes exempt from drain gating and in-flight caps: a load
-    #: balancer must be able to probe a saturated or draining gateway.
+    #: Routes exempt from admission and the cluster dependency: a load
+    #: balancer must be able to probe a saturated, draining or
+    #: uninitialized gateway.
     _HEALTH_PATHS = frozenset({("v1", "healthz"), ("v1", "readyz")})
-
-    #: Transient fabric errors on the fetch path (a leader mid failover,
-    #: a flapping broker) retry briefly instead of failing the request.
-    FETCH_RETRY_POLICY = RetryPolicy(
-        max_attempts=3, base_backoff=0.025, multiplier=2.0, max_backoff=0.1
-    )
 
     def __init__(
         self,
@@ -660,18 +623,9 @@ class Gateway:
             raise ValueError("max_inflight_per_principal must be >= 1")
         self._cluster = cluster
         self._admin_authorizer = admin_authorizer
-        self.control = ControlPlaneRouter(self)
-        self.data = DataPlaneRouter(self)
         #: By segment count: a request is compared only with routes it can match.
         self._routes: Dict[int, List[Route]] = {}
-        for route in (
-            [
-                Route("GET", "/v1/healthz", self.healthz),
-                Route("GET", "/v1/readyz", self.readyz),
-            ]
-            + self.control.routes()
-            + self.data.routes()
-        ):
+        for route in ROUTES:
             self._routes.setdefault(len(route.segments), []).append(route)
         self._pool_lock = create_lock("GatewaySessionPool")
         self._session_pool: Dict[Optional[str], List[FetchSession]] = {}
@@ -760,45 +714,9 @@ class Gateway:
             if self._inflight_total == 0:
                 self._inflight_cond.notify_all()
 
-    def retried_fetch(
-        self, cluster: FabricCluster, fetch_once: Callable[[], Tuple[Any, int]]
-    ) -> Callable[[], Tuple[Any, int]]:
-        """Wrap a fetch closure in the gateway's transient-error policy."""
-
-        def attempt() -> Tuple[Any, int]:
-            return self.FETCH_RETRY_POLICY.call(
-                fetch_once,
-                clock=cluster.clock,
-                retriable=lambda exc: (
-                    isinstance(exc, FabricError) and exc.retriable
-                ),
-            )
-
-        return attempt
-
-    # -- health probes --------------------------------------------------- #
-    def healthz(self, request: GatewayRequest) -> GatewayResponse:
-        """Liveness: the process answers — even while draining."""
-        return GatewayResponse(200, {"status": "ok"})
-
-    def readyz(self, request: GatewayRequest) -> GatewayResponse:
-        """Readiness: may this instance take traffic right now?"""
-        if self._draining:
-            return GatewayResponse(503, {"status": "draining", "ready": False})
-        if self._cluster is None:
-            return GatewayResponse(
-                503, {"status": "uninitialized", "ready": False}
-            )
-        return GatewayResponse(200, {"status": "ready", "ready": True})
-
     def admin_for(self, principal: Optional[str]) -> FabricAdmin:
         """A control-plane view for ``principal`` over the one authz hook."""
-        cluster = self.cluster()
-        if self._admin_authorizer is None and principal is None:
-            return cluster.admin()
-        return FabricAdmin(
-            cluster, principal=principal, authorizer=self._admin_authorizer
-        )
+        return self.cluster().admin(principal=principal, authorizer=self._admin_authorizer)
 
     @contextlib.contextmanager
     def session(self, principal: Optional[str]):
@@ -844,35 +762,46 @@ class Gateway:
         headers: Optional[Mapping[str, str]] = None,
         body: bytes = b"",
     ) -> GatewayResponse:
-        """Route one request; never raises — errors become JSON bodies.
+        """Run one request through :data:`ROUTES`; never raises — errors
+        become JSON bodies.
 
-        Health probes bypass the degradation gates; every other route is
-        admitted against the drain flag and the per-principal in-flight
-        cap first, so a saturated or draining gateway answers 429/503
-        (with ``Retry-After``) instead of queueing unboundedly.
+        Every route takes the same steps in the same order: match the
+        route (404/405); admit the request against the drain flag and the
+        per-principal in-flight cap (503 ``DRAINING`` / 429, both with
+        ``Retry-After``, instead of queueing unboundedly); resolve the
+        cluster (503 ``UNINITIALIZED``); parse the body with the row's
+        model (400); call the handler; answer its payload with the row's
+        status; encode.  Health probes skip admission and the cluster.
         """
         headers = {k.lower(): v for k, v in (headers or {}).items()}
         segments = tuple(s for s in path.split("/") if s)
         try:
             route, params = self._match(method.upper(), segments)
             request = GatewayRequest(
-                method=method.upper(),
-                path=path,
                 params=params,
                 query=dict(query or {}),
                 headers=headers,
                 body=body,
                 principal=self.principal_from_headers(headers),
             )
-            # Encoded in here, so that a payload JSON cannot carry is a 500
-            # body like any other failure and not a traceback in the transport.
-            if segments in self._HEALTH_PATHS:
-                return route.handler(request).encoded()
-            self._admit(request.principal)
+            gated = segments not in self._HEALTH_PATHS
+            if gated:
+                self._admit(request.principal)
             try:
-                return route.handler(request).encoded()
+                if gated:
+                    self.cluster()
+                model = route.model
+                payload = route.handler(
+                    self, request, None if model is None else model.parse(request.json())
+                )
+                if not isinstance(payload, GatewayResponse):
+                    payload = GatewayResponse(route.status, payload)
+                # Encoded in here, so that a payload JSON cannot carry is a 500
+                # body like any other failure and not a traceback in the transport.
+                return payload.encoded()
             finally:
-                self._release(request.principal)
+                if gated:
+                    self._release(request.principal)
         except Exception as exc:  # total: every failure maps to a body
             return error_response(exc)
 
@@ -897,11 +826,10 @@ class Gateway:
 __all__ = [
     "BATCH_CONTENT_TYPE",
     "JSON_CONTENT_TYPE",
+    "ROUTES",
     "Gateway",
     "GatewayRequest",
     "GatewayResponse",
-    "ControlPlaneRouter",
-    "DataPlaneRouter",
     "Route",
     "error_response",
 ]

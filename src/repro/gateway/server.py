@@ -19,15 +19,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Tuple
 from urllib.parse import parse_qsl, urlsplit
 
-from repro.gateway.errors import GatewayError, MalformedBodyError
-from repro.gateway.routers import Gateway, GatewayResponse, error_response
-
-
-class _LengthRequiredError(GatewayError):
-    """A request body framed by anything but ``Content-Length``."""
-
-    status = 411
-    code = "LENGTH_REQUIRED"
+from repro.gateway.errors import LengthRequiredError, MalformedBodyError
+from repro.gateway.routers import JSON_CONTENT_TYPE, Gateway, GatewayResponse, error_response
 
 
 class _GatewayHTTPServer(ThreadingHTTPServer):
@@ -49,7 +42,7 @@ class _GatewayHandler(BaseHTTPRequestHandler):
         # unreadable as requests, so every answer to one closes it.
         length = (self.headers.get("Content-Length") or "0").strip()
         if self.headers.get("Transfer-Encoding"):
-            return self._send(error_response(_LengthRequiredError(
+            return self._send(error_response(LengthRequiredError(
                 "Transfer-Encoding is not supported; send a Content-Length"
             )), close=True)
         if not length.isdecimal():
@@ -71,7 +64,7 @@ class _GatewayHandler(BaseHTTPRequestHandler):
 
     def _send(self, response: GatewayResponse, *, close: bool = False) -> None:
         self.send_response(response.status)
-        self.send_header("Content-Type", response.content_type)
+        self.send_header("Content-Type", JSON_CONTENT_TYPE)
         self.send_header("Content-Length", str(len(response.raw)))
         for name, value in response.headers.items():
             self.send_header(name, value)

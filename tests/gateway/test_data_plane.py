@@ -404,6 +404,30 @@ class TestConsumerGroups:
         assert response.payload["code"] == "UNKNOWN_TOPIC"
 
 
+class TestDataPlaneAuthorization:
+    """Every data-plane route that names a topic asks the cluster's hook."""
+
+    def test_offsets_commit_and_join_deny_an_unauthorized_principal(
+        self, client, cluster, topic
+    ):
+        cluster.admin().set_authorizer(lambda principal, operation, name: principal == "alice")
+        offset = {"topic": "t", "partition": 0, "offset": 0}
+        for method, path, body in [
+            ("GET", "/v1/topics/t/offsets", None),
+            ("POST", "/v1/groups/g/offsets", {"offsets": [offset]}),
+            ("POST", "/v1/groups/g/members", {"client_id": "c", "topics": ["t"]}),
+        ]:
+            denied = client.request(method, path, json_body=body, principal="mallory")
+            assert denied.status == 403, (path, denied.payload)
+            assert denied.payload["code"] == "AUTHORIZATION_FAILED"
+            assert "mallory" in denied.payload["message"]
+            allowed = client.request(method, path, json_body=body, principal="alice")
+            assert allowed.status in (200, 201), (path, allowed.payload)
+        # Only alice's commit and join reached the fabric.
+        assert cluster.offsets.group_offsets("g") == {("t", 0): 0}
+        assert len(cluster.groups.describe("g")["members"]) == 1
+
+
 class TestResponseShape:
     def test_error_bodies_always_have_the_three_keys(self, client, topic):
         responses = [

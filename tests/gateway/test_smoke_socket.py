@@ -15,6 +15,7 @@ response is one message, and a second small write is a ~44 ms stall
 writes and time nothing.
 """
 
+import dataclasses
 import http.client
 import json
 import socket
@@ -28,7 +29,7 @@ import pytest
 
 from repro.fabric.cluster import FabricCluster
 from repro.fabric.record import EventRecord, PackedRecordBatch
-from repro.gateway import BATCH_CONTENT_TYPE, Gateway, GatewayServer
+from repro.gateway import BATCH_CONTENT_TYPE, Gateway, GatewayResponse, GatewayServer, routers
 
 
 @pytest.fixture
@@ -281,10 +282,16 @@ class _KeepAlive:
         self.connection.close()
 
 
-def test_every_response_is_one_socket_write(monkeypatch, socket_writes):
-    from repro.gateway import GatewayResponse
+def _serve_healthz_with(monkeypatch, handler):
+    """Route ``/v1/healthz`` to ``handler`` in every Gateway built afterwards."""
+    monkeypatch.setattr(routers, "ROUTES", tuple(
+        dataclasses.replace(route, handler=handler) if route.pattern == "/v1/healthz" else route
+        for route in routers.ROUTES
+    ))
 
-    monkeypatch.setattr(Gateway, "healthz", lambda self, request: GatewayResponse(204))
+
+def test_every_response_is_one_socket_write(monkeypatch, socket_writes):
+    _serve_healthz_with(monkeypatch, lambda gateway, request, body: GatewayResponse(204))
     cluster = FabricCluster(num_brokers=3, name="one-write")
     with GatewayServer(Gateway(cluster)) as server:
         client = _KeepAlive(server)
@@ -342,11 +349,7 @@ def test_retry_after_responses_are_one_socket_write(socket_writes):
 def test_unencodable_payload_is_a_json_500_and_the_connection_lives(
     monkeypatch, socket_writes, capfd
 ):
-    from repro.gateway import GatewayResponse
-
-    monkeypatch.setattr(
-        Gateway, "healthz", lambda self, request: GatewayResponse(200, {"oops": object()})
-    )
+    _serve_healthz_with(monkeypatch, lambda gateway, request, body: {"oops": object()})
     with GatewayServer(Gateway(FabricCluster(num_brokers=1))) as server:
         client = _KeepAlive(server)
         try:
