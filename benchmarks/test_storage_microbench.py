@@ -1,48 +1,30 @@
-"""Micro-benchmarks of the segmented partition-log storage layer.
+"""Work counts of the segmented partition-log storage layer.
 
-The segmented :class:`PartitionLog` must beat the pre-segment flat-list
-implementation (kept as :class:`repro.fabric._compat.flatlog.FlatPartitionLog`)
-where the segmentation claims a complexity win, and must not regress the
-append/fetch hot paths.  The headline number is retention: dropping aged
-records from a 100k-record log is whole-segment pointer drops + one
-boundary-segment scan instead of an O(n) walk over a full copy — the
-acceptance floor is **≥ 5×**.
-
-Results are written to ``BENCH_storage.json`` at the repo root so future
-PRs can diff storage performance (the CI microbench job uploads it as a
-build artifact next to ``benchmark-results.json``).
+Each test drives a 100k-record log (or a mirror of one) and asserts the
+exact amount of work the segmented design promises: appends and paged
+fetches decode nothing and keep one chunk per produce batch, retention
+drops whole segments by pointer and rebuilds at most the one boundary
+segment, and mirroring forwards the source's stored chunks without
+encoding, decoding or compressing anything.  A regression shows up as a
+count that moved, never as a slower timer.
 """
 
-import gc
 import json
-import time
-from pathlib import Path
 
-import pytest
-
-from repro.fabric._compat.flatlog import (
-    FlatPartitionLog,
-    flat_enforce_size_retention,
-    flat_enforce_time_retention,
-)
-from repro.fabric.partition import PartitionLog
-from repro.fabric.record import EventRecord
+from repro.fabric.cluster import FabricCluster
+from repro.fabric.partition import LogSegment, PartitionLog
+from repro.fabric.record import EventRecord, PackedRecordBatch
 from repro.fabric.retention import enforce_size_retention, enforce_time_retention
+from repro.fabric.topic import TopicConfig
 
 NUM_RECORDS = 100_000
 BATCH = 500
 # A 40-char string value serializes to 40 B; +24 B framing = 64 B on the wire.
 EVENT_64B = "x" * 40
-
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_storage.json"
-RESULTS: dict = {"records": NUM_RECORDS, "event_bytes": 64}
-
-
-@pytest.fixture(scope="module", autouse=True)
-def bench_report():
-    """Write every benchmark's numbers to BENCH_storage.json on teardown."""
-    yield
-    BENCH_PATH.write_text(json.dumps(RESULTS, indent=2, sort_keys=True) + "\n")
+# 200 batches of 500 over 4096-record segments: 25 segments, and a batch
+# is split only where a segment rolls, so 200 + 24 chunks.
+SEGMENTS = 25
+CHUNKS = NUM_RECORDS // BATCH + SEGMENTS - 1
 
 
 def _fill(log, num_records=NUM_RECORDS):
@@ -56,326 +38,108 @@ def _fill(log, num_records=NUM_RECORDS):
     return log
 
 
-def _best_of(fn, repeats=3):
-    """Best-of-``repeats`` wall-clock seconds with GC paused in the window."""
-    best = float("inf")
-    for _ in range(repeats):
-        gc.collect()
-        gc.disable()
-        try:
-            start = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - start)
-        finally:
-            gc.enable()
-    return best
+def _chunks(log):
+    return sum(len(segment.records.runs()) for segment in log._segments)
 
 
-def test_append_throughput_not_regressed():
-    """Packed batch adoption must put segmented append ahead of flat:
-    ``append_batch`` packs each 500-record batch once and adopts it by
-    reference (one chunk append + prefix sums instead of 500 ``StoredRecord``
-    constructions).  The ratio is recorded, neither asserted nor gated:
-    ~1.1× sits inside one run's noise."""
-
-    def append_segmented():
-        _fill(PartitionLog("bench", 0))
-
-    def append_flat():
-        _fill(FlatPartitionLog("bench", 0))
-
-    # Interleave the implementations (see the fetch bench below): both
-    # sides sample the same runner state, so the best-of ratio reflects
-    # the code rather than which side drew the throttled window.
-    segmented_best = flat_best = float("inf")
-    for _ in range(4):
-        segmented_best = min(segmented_best, _best_of(append_segmented, repeats=1))
-        flat_best = min(flat_best, _best_of(append_flat, repeats=1))
-    segmented = NUM_RECORDS / segmented_best
-    flat = NUM_RECORDS / flat_best
-    RESULTS["append_batched"] = {
-        "segmented_ev_s": round(segmented),
-        "flat_ev_s": round(flat),
-        "ratio": round(segmented / flat, 3),
-    }
-    print(f"\nBatched append: segmented {segmented:,.0f} ev/s, "
-          f"flat {flat:,.0f} ev/s ({segmented / flat:.2f}x)")
+def _reused(before, log):
+    """How many of ``log``'s segments are the very objects in ``before``."""
+    kept = {id(segment) for segment in before}
+    return sum(id(segment) in kept for segment in log._segments)
 
 
-def test_fetch_throughput_not_regressed():
-    """Paging through 100k records in 500-record fetches: lazy packed
-    views (O(runs) assembly, no per-record materialization) must beat the
-    flat log's list slices.  Interleaved measurement puts the ratio at
-    ~1.1× with ±0.15 run-to-run noise, so it is recorded only (see
-    above)."""
-    segmented_log = _fill(PartitionLog("bench", 0))
-    flat_log = _fill(FlatPartitionLog("bench", 0))
-
-    def page_through(log):
-        def run():
-            offset = 0
-            end = log.log_end_offset
-            while offset < end:
-                records = log.fetch(offset, max_records=BATCH)
-                offset = records[-1].offset + 1
-        return run
-
-    # The timed window is short (~1 ms per pass), so CPU-frequency /
-    # contention noise dominates a sequential best-of: interleave the two
-    # implementations and repeat more so both sides sample the same
-    # machine state and the best pass reflects the code, not the runner.
-    segmented_best = flat_best = float("inf")
-    for _ in range(7):
-        segmented_best = min(segmented_best, _best_of(page_through(segmented_log), repeats=1))
-        flat_best = min(flat_best, _best_of(page_through(flat_log), repeats=1))
-    segmented = NUM_RECORDS / segmented_best
-    flat = NUM_RECORDS / flat_best
-    RESULTS["fetch_paged"] = {
-        "segmented_rec_s": round(segmented),
-        "flat_rec_s": round(flat),
-        "ratio": round(segmented / flat, 3),
-    }
-    print(f"\nPaged fetch: segmented {segmented:,.0f} rec/s, "
-          f"flat {flat:,.0f} rec/s ({segmented / flat:.2f}x)")
+def test_append_throughput_not_regressed(calls):
+    """Each ``append_batch`` packs its 500 records once and adopts the
+    batch by reference: nothing is decoded, and a batch is split only
+    where a segment rolls."""
+    calls.watch(json, "loads")
+    log = _fill(PartitionLog("bench", 0))
+    assert calls["json.loads"] == 0
+    assert log.num_segments == SEGMENTS
+    assert _chunks(log) == CHUNKS
 
 
-def test_time_retention_run_5x_faster():
-    """The acceptance-criterion bench: expiring half of a 100k-record log
-    must be ≥ 5× faster on segments (whole-segment drops + one boundary
-    scan) than the flat walk-copy-and-slice.
-
-    A pre-taken snapshot keeps the dropped records — and, for the
-    segmented log, the dropped segments' packed-chunk containers — alive
-    through the timed window: freeing 50k records' worth of objects costs
-    both implementations comparable interpreter work, and with it inside
-    the window it drowns the storage-layer difference the bench exists to
-    measure."""
-    half_cutoff = NUM_RECORDS // BATCH / 2.0  # append-time ticks
-
-    segmented_times = []
-    flat_times = []
-    keepalive = []
-    for _ in range(3):
-        segmented_log = _fill(PartitionLog("bench", 0))
-        flat_log = _fill(FlatPartitionLog("bench", 0))
-        keepalive.append(
-            (
-                segmented_log.read_all(),
-                tuple(segmented_log._segments),
-                flat_log.read_all(),
-            )
-        )
-        now = float(NUM_RECORDS // BATCH)
-        gc.collect()
-        gc.disable()
-        try:
-            start = time.perf_counter()
-            removed_segmented = enforce_time_retention(
-                segmented_log, retention_seconds=now - half_cutoff, now=now
-            )
-            segmented_times.append(time.perf_counter() - start)
-            start = time.perf_counter()
-            removed_flat = flat_enforce_time_retention(
-                flat_log, retention_seconds=now - half_cutoff, now=now
-            )
-            flat_times.append(time.perf_counter() - start)
-        finally:
-            gc.enable()
-        assert removed_segmented == removed_flat == NUM_RECORDS // 2
-        assert segmented_log.log_start_offset == flat_log.log_start_offset
-
-    segmented, flat = min(segmented_times), min(flat_times)
-    speedup = flat / segmented
-    RESULTS["time_retention_drop_half"] = {
-        "segmented_s": round(segmented, 6),
-        "flat_s": round(flat, 6),
-        "speedup": round(speedup, 1),
-    }
-    print(f"\nTime retention (drop 50k of 100k): segmented {segmented * 1e3:.3f} ms, "
-          f"flat {flat * 1e3:.3f} ms ({speedup:.0f}x)")
-    assert speedup >= 5.0
+def test_fetch_throughput_not_regressed(calls):
+    """Paging through 100k records in 500-record fetches assembles lazy
+    views over the stored chunks: no record is decoded, and the pages
+    together hold each chunk exactly once."""
+    log = _fill(PartitionLog("bench", 0))
+    calls.watch(json, "loads")
+    offset = runs = 0
+    while offset < log.log_end_offset:
+        view = log.fetch(offset, max_records=BATCH)
+        runs += len(view.runs())
+        offset += len(view)
+    assert offset == NUM_RECORDS
+    assert calls["json.loads"] == 0
+    assert runs == _chunks(log) == CHUNKS
 
 
-def test_steady_state_retention_noop_5x_faster():
-    """The common production case: the retention pass finds nothing (or
-    almost nothing) to drop.  Flat still copies and walks every retained
-    record; segments answer from cached time bounds."""
-    segmented_log = _fill(PartitionLog("bench", 0))
-    flat_log = _fill(FlatPartitionLog("bench", 0))
+def _watch_retention(calls):
+    calls.watch(json, "loads")
+    calls.watch(PackedRecordBatch, "stored_at")
+    calls.watch(LogSegment, "slice_from")
+
+
+def _assert_dropped_half(calls, removed, before, log):
+    """Half the log went as whole segments plus one boundary slice."""
+    assert removed == NUM_RECORDS // 2
+    assert log.log_start_offset == NUM_RECORDS // 2
+    assert calls["json.loads"] == calls["PackedRecordBatch.stored_at"] == 0
+    assert calls["LogSegment.slice_from"] == 1
+    assert _reused(before, log) == log.num_segments - 1
+
+
+def test_time_retention_run_5x_faster(calls):
+    """Expiring the older half of a 100k-record log drops whole segments
+    by pointer and slices only the segment holding the cutoff."""
+    log = _fill(PartitionLog("bench", 0))
+    before = log._segments
+    _watch_retention(calls)
     now = float(NUM_RECORDS // BATCH)
-    retention = now + 1_000.0  # nothing is old enough
-
-    segmented = _best_of(
-        lambda: enforce_time_retention(segmented_log, retention, now=now)
-    )
-    flat = _best_of(
-        lambda: flat_enforce_time_retention(flat_log, retention, now=now)
-    )
-    assert len(segmented_log) == len(flat_log) == NUM_RECORDS
-    speedup = flat / segmented
-    RESULTS["time_retention_noop"] = {
-        "segmented_s": round(segmented, 6),
-        "flat_s": round(flat, 6),
-        "speedup": round(speedup, 1),
-    }
-    print(f"\nTime retention (no-op pass over 100k): segmented {segmented * 1e6:.1f} µs, "
-          f"flat {flat * 1e3:.3f} ms ({speedup:.0f}x)")
-    assert speedup >= 5.0
+    removed = enforce_time_retention(log, retention_seconds=now / 2, now=now)
+    _assert_dropped_half(calls, removed, before, log)
 
 
-def test_size_retention_and_accounting_5x_faster():
-    """Size retention sums cached per-segment counters instead of
-    re-summing every record: the cutoff search plus truncation at 100k
-    records must also clear 5×."""
-    target_bytes = (NUM_RECORDS // 2) * 64  # keep roughly half
-
-    segmented_times = []
-    flat_times = []
-    removed = []
-    keepalive = []
-    for _ in range(3):
-        segmented_log = _fill(PartitionLog("bench", 0))
-        flat_log = _fill(FlatPartitionLog("bench", 0))
-        # Keep dropped records (and the segmented log's packed chunks)
-        # alive: both sides pay comparable free() costs, so the timed
-        # window isolates the retention machinery (see the time-retention
-        # bench above).
-        keepalive.append(
-            (
-                segmented_log.read_all(),
-                tuple(segmented_log._segments),
-                flat_log.read_all(),
-            )
-        )
-        gc.collect()
-        gc.disable()
-        try:
-            start = time.perf_counter()
-            removed_segmented = enforce_size_retention(segmented_log, target_bytes)
-            segmented_times.append(time.perf_counter() - start)
-            start = time.perf_counter()
-            removed_flat = flat_enforce_size_retention(flat_log, target_bytes)
-            flat_times.append(time.perf_counter() - start)
-        finally:
-            gc.enable()
-        assert removed_segmented == removed_flat
-        removed.append(removed_segmented)
-
-    segmented, flat = min(segmented_times), min(flat_times)
-    speedup = flat / segmented
-    RESULTS["size_retention_drop_half"] = {
-        "segmented_s": round(segmented, 6),
-        "flat_s": round(flat, 6),
-        "removed_records": removed[0],
-        "speedup": round(speedup, 1),
-    }
-    print(f"\nSize retention (drop ~50k of 100k): segmented {segmented * 1e3:.3f} ms, "
-          f"flat {flat * 1e3:.3f} ms ({speedup:.0f}x)")
-    assert speedup >= 5.0
+def test_steady_state_retention_noop_5x_faster(calls):
+    """The common production case — nothing is old enough — answers from
+    cached segment time bounds and touches no segment."""
+    log = _fill(PartitionLog("bench", 0))
+    before = log._segments
+    _watch_retention(calls)
+    now = float(NUM_RECORDS // BATCH)
+    assert enforce_time_retention(log, now + 1_000.0, now=now) == 0
+    assert len(log) == NUM_RECORDS
+    assert calls["LogSegment.slice_from"] == calls["PackedRecordBatch.stored_at"] == 0
+    assert _reused(before, log) == len(before) == log.num_segments
 
 
-def test_mirror_packed_forwarding_not_regressed():
-    """Cross-cluster mirroring forwards packed chunks by reference (a
-    header overlay carries provenance; nothing is re-encoded).  The
-    baseline rebuilds each ``EventRecord`` with merged provenance headers
-    — the pre-packed MirrorMaker data path.  Ratcheted to ≥ 3.0× after
-    PR 6 measured 5.4×."""
-    from repro.fabric.cluster import FabricCluster
-    from repro.fabric.mirrormaker import MirrorMaker
-    from repro.fabric.topic import TopicConfig
+def test_size_retention_and_accounting_5x_faster(calls):
+    """Size retention sums cached per-segment byte counters: keeping half
+    the bytes drops half the records the same way time retention does."""
+    log = _fill(PartitionLog("bench", 0))
+    before = log._segments
+    _watch_retention(calls)
+    removed = enforce_size_retention(log, (NUM_RECORDS // 2) * 64)
+    _assert_dropped_half(calls, removed, before, log)
 
+
+def test_mirror_packed_forwarding_not_regressed(mirror_by_reference):
+    """Cross-cluster mirroring forwards packed chunks by reference: a
+    header overlay carries provenance and nothing is re-encoded."""
     num_partitions, per_partition = 4, 2_500
-    total = num_partitions * per_partition
-
-    def build_source(name):
-        source = FabricCluster(num_brokers=1, name=name)
-        source.admin().create_topic(
+    source, destination = (
+        FabricCluster(num_brokers=1, name=name) for name in ("bench-src", "bench-dst")
+    )
+    for cluster in (source, destination):
+        cluster.admin().create_topic(
             "mirror-bench",
             TopicConfig(num_partitions=num_partitions, replication_factor=1),
         )
-        for p in range(num_partitions):
-            for start in range(0, per_partition, BATCH):
-                source.append_batch(
-                    "mirror-bench",
-                    p,
-                    [EventRecord(value=EVENT_64B) for _ in range(BATCH)],
-                )
-        return source
-
-    def build_destination(name):
-        destination = FabricCluster(num_brokers=1, name=name)
-        destination.admin().create_topic(
-            "mirror-bench",
-            TopicConfig(num_partitions=num_partitions, replication_factor=1),
-        )
-        return destination
-
-    def packed_run():
-        source = build_source("bench-src-packed")
-        mirror = MirrorMaker(source, build_destination("bench-dst-packed"))
-
-        def run():
-            assert mirror.sync_topic("mirror-bench").records_mirrored == total
-        return run
-
-    def per_record_run():
-        source = build_source("bench-src-rec")
-        destination = build_destination("bench-dst-rec")
-
-        def run():
-            mirrored_total = 0
-            for _, partition in source.partitions_for("mirror-bench"):
-                records = source.fetch(
-                    "mirror-bench", partition, 0,
-                    max_records=per_partition, max_bytes=None,
-                )
-                base_offset = records[0].offset
-                rebuilt = [
-                    EventRecord(
-                        value=stored.record.value,
-                        key=stored.record.key,
-                        headers={
-                            **dict(stored.record.headers),
-                            "mirror.source.cluster": source.name,
-                            "mirror.source.offset": str(stored.offset),
-                            "mirror.batch.base_offset": str(base_offset),
-                        },
-                        timestamp=stored.record.timestamp,
-                    )
-                    for stored in records
-                ]
-                destination.append_batch(
-                    "mirror-bench", partition, rebuilt, acks=1
-                )
-                mirrored_total += len(rebuilt)
-            assert mirrored_total == total
-        return run
-
-    # Each timed run mirrors a fresh source into a fresh destination, so
-    # build (untimed) inside the repeat loop rather than using _best_of.
-    def best_rate(make_run, repeats=3):
-        best = float("inf")
-        for _ in range(repeats):
-            run = make_run()
-            gc.collect()
-            gc.disable()
-            try:
-                start = time.perf_counter()
-                run()
-                best = min(best, time.perf_counter() - start)
-            finally:
-                gc.enable()
-        return total / best
-
-    packed = best_rate(packed_run)
-    per_record = best_rate(per_record_run)
-    RESULTS["mirror_batched"] = {
-        "packed_rec_s": round(packed),
-        "per_record_rec_s": round(per_record),
-        "ratio": round(packed / per_record, 3),
-        "floor": 3.0,
-    }
-    print(f"\nMirror sync: packed forwarding {packed:,.0f} rec/s, "
-          f"per-record re-encode {per_record:,.0f} rec/s "
-          f"({packed / per_record:.2f}x)")
-    assert packed >= 3.0 * per_record
+    for p in range(num_partitions):
+        for _ in range(per_partition // BATCH):
+            source.append_batch(
+                "mirror-bench", p, [EventRecord(value=EVENT_64B) for _ in range(BATCH)]
+            )
+    stats = mirror_by_reference(source, destination, "mirror-bench")
+    assert stats.records_mirrored == num_partitions * per_partition

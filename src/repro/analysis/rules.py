@@ -34,10 +34,6 @@ The rules:
     leak a lock on an exception path, and they are what the
     :mod:`repro.common.sync` sanitizer instruments.
 
-``DEPRECATED-API``
-    No imports of modules in :data:`DEPRECATED_MODULES` from production
-    code.
-
 ``SWALLOWED-ERROR``
     No ``except`` handler whose body only passes/continues in the fault
     paths (:data:`SWALLOWED_ERROR_PATHS`: the fabric and the gateway).
@@ -65,18 +61,6 @@ RAW_CLOCK_BANNED = {
 
 #: Files allowed to touch the raw clock: the Clock implementation itself.
 RAW_CLOCK_EXEMPT_SUFFIXES = ("common/clock.py",)
-
-#: Deprecated module imports -> rationale.
-DEPRECATED_MODULES = {
-    "repro.fabric.flatlog": (
-        "retired from the public surface; the flat log now lives under "
-        "repro.fabric._compat.flatlog for differential tests only"
-    ),
-    "repro.fabric._compat.flatlog": (
-        "superseded by the segmented PartitionLog; kept only for "
-        "differential tests and benchmark baselines"
-    ),
-}
 
 #: Method-name suffix marking "caller holds the lock" helpers (GUARDED-BY).
 LOCK_HELD_SUFFIX = "_locked"
@@ -353,28 +337,6 @@ class BareAcquireRule:
         return not call.args
 
 
-class DeprecatedApiRule:
-    code = "DEPRECATED-API"
-
-    def check(self, ctx: FileContext) -> Iterator[Violation]:
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    reason = DEPRECATED_MODULES.get(alias.name)
-                    if reason:
-                        yield Violation(
-                            self.code, ctx.path, node.lineno,
-                            f"import of deprecated module {alias.name} ({reason})",
-                        )
-            elif isinstance(node, ast.ImportFrom) and node.module:
-                reason = DEPRECATED_MODULES.get(node.module)
-                if reason:
-                    yield Violation(
-                        self.code, ctx.path, node.lineno,
-                        f"import from deprecated module {node.module} ({reason})",
-                    )
-
-
 #: Path prefixes (repo-relative, posix) where SWALLOWED-ERROR applies:
 #: the subsystems whose dropped errors can hide data loss.
 SWALLOWED_ERROR_PATHS = ("src/repro/fabric/", "src/repro/gateway/")
@@ -415,7 +377,6 @@ ALL_RULES = (
     GuardedByRule(),
     BlockingUnderLockRule(),
     BareAcquireRule(),
-    DeprecatedApiRule(),
     SwallowedErrorRule(),
 )
 

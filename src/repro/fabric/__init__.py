@@ -27,13 +27,8 @@ Public API boundary
 -------------------
 ``repro.fabric.__all__`` below *is* the supported surface: the classes,
 codec-registry functions and the complete error taxonomy the HTTP gateway
-(:mod:`repro.gateway`) exposes over the wire.  Anything not listed — and
-any module whose name starts with an underscore, such as
-:mod:`repro.fabric._compat` (the retired flat-log kept as a differential
-baseline) — is internal and may change or disappear without a
-deprecation cycle.  New deprecations are enforced mechanically: the
-``DEPRECATED-API`` rule of :mod:`repro.analysis` fails CI on any fresh
-import of a retired module.
+(:mod:`repro.gateway`) exposes over the wire.  Anything not listed is
+internal and may change or disappear without a deprecation cycle.
 """
 
 from repro.fabric.record import (

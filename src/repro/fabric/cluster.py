@@ -673,12 +673,7 @@ class FabricCluster:
         if topic.config.persist_to_store:
             for stamped in stamped_chunks:
                 for index in range(len(stamped)):
-                    record = stamped.record_at(index)
-                    stored = StoredRecord(
-                        offset=stamped.offset_at(index),
-                        record=record,
-                        append_time=record.timestamp,
-                    )
+                    stored = stamped.stored_at(index)
                     for sink in self._persistence_sinks:
                         sink(topic_name, partition, stored)
         return [

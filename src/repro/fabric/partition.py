@@ -686,10 +686,10 @@ class PartitionLog:
         if offset == end:
             return [], 0
         # Snapshot the segment tuple *before* reading the start offset: a
-        # truncation that lands in between raises out-of-range (as the
-        # locked flat implementation did), while one that lands after is
-        # served consistently from this snapshot — its dropped segments
-        # are still referenced here.  Reading the start first instead
+        # truncation that lands in between raises out-of-range, while one
+        # that lands after is served consistently from this snapshot — its
+        # dropped segments are still referenced here.  Reading the start
+        # first instead
         # would pass the range check and then silently serve from the
         # post-truncation segments at a far later offset.
         segments = self._segments
@@ -843,8 +843,8 @@ class PartitionLog:
 
         Sums cached per-segment sizes (O(segments)); only the boundary
         segment — where dropping the whole thing would over-shoot — is
-        walked record-granularly, preserving the record-granular semantics
-        of the flat implementation for uncompressed storage.  A compressed
+        walked, so uncompressed storage is trimmed record by record: the
+        cutoff is the first offset after which the rest fits.  A compressed
         chunk that must be dropped wholesale is skipped in one step (its
         physical size is exact at chunk extent); inside one, records are
         charged their proportional share of the compressed body.

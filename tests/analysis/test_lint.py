@@ -238,7 +238,7 @@ class TestBlockingUnderLock:
 
 
 # --------------------------------------------------------------------- #
-# BARE-ACQUIRE / DEPRECATED-API
+# BARE-ACQUIRE
 # --------------------------------------------------------------------- #
 class TestBareAcquire:
     def test_manual_acquire_release_flagged(self):
@@ -262,14 +262,6 @@ class TestBareAcquire:
                 yield kernel.release(workers)
         """)
         assert out == []
-
-
-class TestDeprecatedApi:
-    def test_flatlog_import_flagged(self):
-        out = run("""
-            from repro.fabric.flatlog import FlatPartitionLog
-        """)
-        assert codes(out) == ["DEPRECATED-API"]
 
 
 # --------------------------------------------------------------------- #

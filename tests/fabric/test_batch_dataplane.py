@@ -9,6 +9,7 @@ and round-robin poll fairness on the consumer side.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.common.clock import ManualClock
 from repro.fabric import (
     ConsumerConfig,
     FabricCluster,
@@ -80,6 +81,22 @@ class TestClusterAppendBatch:
         cluster.admin().add_persistence_sink(lambda t, p, stored: seen.append(stored.offset))
         cluster.append_batch("durable", 0, [EventRecord(value=i) for i in range(6)])
         assert seen == list(range(6))
+
+    def test_persistence_sink_sees_the_log_append_time(self):
+        """A sink is handed the record the log stored: its append time is
+        the broker's clock, not the client-supplied record timestamp."""
+        cluster = FabricCluster(num_brokers=1, clock=ManualClock(start=1_000.0))
+        cluster.admin().create_topic(
+            "durable", TopicConfig(num_partitions=1, replication_factor=1,
+                                   persist_to_store=True)
+        )
+        seen = []
+        cluster.admin().add_persistence_sink(lambda t, p, stored: seen.append(stored))
+        cluster.append("durable", 0, EventRecord(value="v", timestamp=5.0))
+        fetched = cluster.fetch("durable", 0, 0)[0]
+        assert fetched.append_time == 1_000.0
+        assert [(s.offset, s.value, s.append_time) for s in seen] == [(0, "v", 1_000.0)]
+        assert seen[0].record.timestamp == 5.0
 
 
 values = st.one_of(st.integers(), st.text(max_size=20), st.binary(max_size=64))

@@ -5,11 +5,11 @@ Two complementary suites, both soak-profile aware (no pinned
 them with a much larger budget, see ``tests/conftest.py``):
 
 * **Differential**: the segmented :class:`PartitionLog` (driven with tiny
-  segments so every sequence crosses many seal/roll boundaries) and the
-  pre-segment flat reference (:class:`repro.fabric._compat.flatlog.FlatPartitionLog`)
-  execute the same operation sequence; every externally observable
-  answer — offsets, fetch slices, byte usage, retention outcomes,
-  timestamp lookups — must be identical.
+  segments so every sequence crosses many seal/roll boundaries) and
+  :class:`ReferenceLog`, a plain-list model defined below, execute the
+  same operation sequence; every externally observable answer — offsets,
+  fetch slices, byte usage, retention outcomes, timestamp lookups — must
+  be identical.
 * **Invariants**: contiguous offsets across segment boundaries, retention
   never resurrecting or reordering offsets, segment metadata consistent
   with the records it covers.
@@ -20,19 +20,101 @@ import math
 import hypothesis.strategies as st
 from hypothesis import given
 
+from repro.fabric import retention
 from repro.fabric.errors import OffsetOutOfRangeError
-from repro.fabric._compat.flatlog import (
-    FlatPartitionLog,
-    flat_enforce_size_retention,
-    flat_enforce_time_retention,
-)
 from repro.fabric.partition import PartitionLog
-from repro.fabric.record import EventRecord, PackedRecordBatch
-from repro.fabric.retention import (
-    compact,
-    enforce_size_retention,
-    enforce_time_retention,
-)
+from repro.fabric.record import EventRecord, PackedRecordBatch, StoredRecord
+
+
+class ReferenceLog:
+    """The differential oracle: a partition log as one list of records.
+
+    Every operation is the obvious walk over that list, and nothing here
+    comes from :mod:`repro.fabric.partition` or
+    :mod:`repro.fabric.retention`.  The retention policies are methods
+    named and shaped like the module functions in ``retention``, so
+    :func:`_run` drives either log through the same calls.
+    """
+
+    def __init__(self):
+        self.records = []
+        self.log_start_offset = 0
+        self.log_end_offset = 0
+        self.total_appended = 0
+
+    def __len__(self):
+        return len(self.records)
+
+    @property
+    def size_bytes(self):
+        return sum(stored.size_bytes() for stored in self.records)
+
+    def read_all(self):
+        return list(self.records)
+
+    def append(self, record, append_time):
+        self.append_batch([record], append_time)
+
+    def append_batch(self, records, append_time):
+        for record in records:
+            self.records.append(StoredRecord(self.log_end_offset, record, append_time))
+            self.log_end_offset += 1
+            self.total_appended += 1
+
+    def truncate_before(self, offset):
+        offset = min(max(offset, self.log_start_offset), self.log_end_offset)
+        kept = [stored for stored in self.records if stored.offset >= offset]
+        removed = len(self.records) - len(kept)
+        self.records = kept
+        self.log_start_offset = offset
+        return removed
+
+    def enforce_time_retention(self, retention_seconds, now):
+        keep_from = self.offset_for_timestamp(now - retention_seconds)
+        return self.truncate_before(
+            self.log_end_offset if keep_from is None else keep_from
+        )
+
+    def enforce_size_retention(self, retention_bytes):
+        total = self.size_bytes
+        dropped = 0
+        for stored in self.records:
+            if total <= retention_bytes:
+                break
+            total -= stored.size_bytes()
+            dropped += 1
+        if not dropped:
+            return 0
+        return self.truncate_before(self.records[dropped - 1].offset + 1)
+
+    def compact(self):
+        latest = {str(s.key): s.offset for s in self.records if s.key is not None}
+        kept = [s for s in self.records if s.key is None or latest[str(s.key)] == s.offset]
+        removed = len(self.records) - len(kept)
+        self.records = kept
+        return removed
+
+    def fetch_with_usage(self, offset, max_records, max_bytes):
+        if offset == self.log_end_offset:
+            return [], 0
+        if not self.log_start_offset <= offset < self.log_end_offset:
+            raise OffsetOutOfRangeError(offset)
+        tail = [stored for stored in self.records if stored.offset >= offset]
+        served, used = [], 0
+        for stored in tail[:max_records]:
+            size = stored.size_bytes()
+            if max_bytes is not None and served and used + size > max_bytes:
+                break  # the first record always goes; the budget binds after it
+            served.append(stored)
+            used += size
+        return served, (0 if max_bytes is None else used)
+
+    def offset_for_timestamp(self, timestamp):
+        for stored in self.records:
+            if stored.append_time >= timestamp:
+                return stored.offset
+        return None
+
 
 # Operations carry small integer parameters that the interpreter below
 # scales into offsets/cutoffs relative to the log's current state, so a
@@ -51,8 +133,12 @@ OPERATIONS = st.lists(
 )
 
 
-def _run(log, operations, *, is_flat):
-    """Drive one log through ``operations`` with a deterministic clock."""
+def _run(log, operations, policies=retention):
+    """Drive one log through ``operations`` with a deterministic clock.
+
+    ``policies`` supplies the retention calls: the :mod:`retention`
+    module for a :class:`PartitionLog`, :class:`ReferenceLog` for the
+    model."""
     step = 0
     for name, arg in operations:
         step += 1
@@ -67,34 +153,22 @@ def _run(log, operations, *, is_flat):
         elif name == "truncate":
             log.truncate_before(log.log_start_offset + arg)
         elif name == "time_retention":
-            if is_flat:
-                flat_enforce_time_retention(log, retention_seconds=arg, now=float(step))
-            else:
-                enforce_time_retention(log, retention_seconds=arg, now=float(step))
+            policies.enforce_time_retention(log, retention_seconds=arg, now=when)
         elif name == "size_retention":
-            if is_flat:
-                flat_enforce_size_retention(log, retention_bytes=arg)
-            else:
-                enforce_size_retention(log, retention_bytes=arg)
+            policies.enforce_size_retention(log, retention_bytes=arg)
         elif name == "compact":
-            if is_flat:
-                # The flat model has no raceless compaction; single-threaded
-                # here, so keep-latest-per-key over a snapshot is equivalent.
-                records = list(log.read_all())
-                latest = {}
-                for stored in records:
-                    if stored.key is not None:
-                        latest[str(stored.key)] = stored.offset
-                log.replace_records(
-                    [
-                        stored
-                        for stored in records
-                        if stored.key is None or latest[str(stored.key)] == stored.offset
-                    ]
-                )
-            else:
-                compact(log)
+            policies.compact(log)
     return log
+
+
+def _segmented(operations):
+    """A log with tiny segments, so every sequence crosses many rolls."""
+    return _run(PartitionLog("t", 0, segment_records=3, segment_bytes=220), operations)
+
+
+def _run_both(operations):
+    """The segmented log and the model after the same ``operations``."""
+    return _segmented(operations), _run(ReferenceLog(), operations, ReferenceLog)
 
 
 def _observe_fetch(log, offset, max_records, max_bytes):
@@ -116,51 +190,36 @@ def _observe_fetch(log, offset, max_records, max_bytes):
 class TestDifferentialEquivalence:
     @given(operations=OPERATIONS)
     def test_segmented_log_matches_flat_reference(self, operations):
-        segmented = _run(
-            PartitionLog("t", 0, segment_records=3, segment_bytes=220),
-            operations,
-            is_flat=False,
-        )
-        flat = _run(FlatPartitionLog("t", 0), operations, is_flat=True)
+        segmented, model = _run_both(operations)
 
-        assert segmented.log_start_offset == flat.log_start_offset
-        assert segmented.log_end_offset == flat.log_end_offset
-        assert len(segmented) == len(flat)
-        assert segmented.size_bytes == flat.size_bytes
-        assert segmented.total_appended == flat.total_appended
+        assert segmented.log_start_offset == model.log_start_offset
+        assert segmented.log_end_offset == model.log_end_offset
+        assert len(segmented) == len(model)
+        assert segmented.size_bytes == model.size_bytes
+        assert segmented.total_appended == model.total_appended
         assert [(r.offset, r.value, r.append_time) for r in segmented.read_all()] == [
-            (r.offset, r.value, r.append_time) for r in flat.read_all()
+            (r.offset, r.value, r.append_time) for r in model.read_all()
         ]
 
     @given(operations=OPERATIONS, max_records=st.integers(1, 7))
     def test_fetch_equivalence_at_every_offset(self, operations, max_records):
-        segmented = _run(
-            PartitionLog("t", 0, segment_records=3, segment_bytes=220),
-            operations,
-            is_flat=False,
-        )
-        flat = _run(FlatPartitionLog("t", 0), operations, is_flat=True)
+        segmented, model = _run_both(operations)
         # Probe one offset beyond both ends too: error behavior must match.
         for offset in range(
             max(0, segmented.log_start_offset - 1), segmented.log_end_offset + 2
         ):
             for max_bytes in (None, 1, 150, 10_000):
                 assert _observe_fetch(segmented, offset, max_records, max_bytes) == (
-                    _observe_fetch(flat, offset, max_records, max_bytes)
+                    _observe_fetch(model, offset, max_records, max_bytes)
                 ), f"fetch({offset}, {max_records}, {max_bytes}) diverged"
 
     @given(operations=OPERATIONS)
     def test_timestamp_lookup_equivalence(self, operations):
-        segmented = _run(
-            PartitionLog("t", 0, segment_records=3, segment_bytes=220),
-            operations,
-            is_flat=False,
-        )
-        flat = _run(FlatPartitionLog("t", 0), operations, is_flat=True)
+        segmented, model = _run_both(operations)
         for probe in range(0, len(operations) + 2):
             timestamp = float(probe) - 0.5
             assert segmented.offset_for_timestamp(timestamp) == (
-                flat.offset_for_timestamp(timestamp)
+                model.offset_for_timestamp(timestamp)
             ), f"offset_for_timestamp({timestamp}) diverged"
 
     def test_timestamp_lookup_over_thousands_of_one_record_chunks(self):
@@ -168,15 +227,15 @@ class TestDifferentialEquivalence:
         holds thousands of them: the lookup bisects chunks, and must still
         land on the first record of each time step."""
         segmented = PartitionLog("t", 0)
-        flat = FlatPartitionLog("t", 0)
+        model = ReferenceLog()
         for i in range(2000):
-            for log in (segmented, flat):
+            for log in (segmented, model):
                 log.append(EventRecord(value=i), append_time=float(i // 7))
         assert segmented.num_segments == 1
         last = 1999 // 7
         for step in range(last + 1):
             for probe in (step - 0.5, float(step), step + 0.5):
-                expected = flat.offset_for_timestamp(probe)
+                expected = model.offset_for_timestamp(probe)
                 assert expected == (None if probe > last else 7 * math.ceil(probe))
                 assert segmented.offset_for_timestamp(probe) == expected, probe
 
@@ -187,11 +246,7 @@ class TestSegmentInvariants:
         operations = [op for op in operations if op[0] != "compact"]
         if not operations:
             operations = [("append", -1)]
-        log = _run(
-            PartitionLog("t", 0, segment_records=3, segment_bytes=220),
-            operations,
-            is_flat=False,
-        )
+        log = _segmented(operations)
         offsets = [r.offset for r in log.read_all()]
         # Delete-retention only ever trims a prefix: what remains is one
         # contiguous run ending exactly at the log end, regardless of how
@@ -217,11 +272,11 @@ class TestSegmentInvariants:
             elif name == "truncate":
                 log.truncate_before(log.log_start_offset + arg)
             elif name == "time_retention":
-                enforce_time_retention(log, retention_seconds=arg, now=float(step))
+                retention.enforce_time_retention(log, retention_seconds=arg, now=float(step))
             elif name == "size_retention":
-                enforce_size_retention(log, retention_bytes=arg)
+                retention.enforce_size_retention(log, retention_bytes=arg)
             elif name == "compact":
-                compact(log)
+                retention.compact(log)
             offsets = [r.offset for r in log.read_all()]
             assert offsets == sorted(set(offsets)), "offsets reordered or duplicated"
             assert log.log_start_offset >= previous_start, "log start moved backwards"
@@ -238,11 +293,7 @@ class TestSegmentInvariants:
 
     @given(operations=OPERATIONS)
     def test_segment_metadata_consistent_with_records(self, operations):
-        log = _run(
-            PartitionLog("t", 0, segment_records=3, segment_bytes=220),
-            operations,
-            is_flat=False,
-        )
+        log = _segmented(operations)
         described = log.describe_segments()
         assert described, "a log always has at least its active segment"
         assert described[-1]["sealed"] is False
