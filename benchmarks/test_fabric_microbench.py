@@ -9,6 +9,8 @@ each batched path makes, against the per-record or per-partition path
 it replaces.
 """
 
+import hashlib
+
 import pytest
 
 from repro.bench.operator import BenchmarkOperator
@@ -24,7 +26,9 @@ from repro.fabric import (
     ProducerConfig,
     TopicConfig,
 )
+from repro.fabric import partitioner, serde
 from repro.fabric.mirrormaker import MirrorMaker
+from repro.fabric.record import PackedRecordBatch
 from repro.fabric.replication import ReplicationManager
 
 NUM_EVENTS = 2000
@@ -102,6 +106,34 @@ def test_batched_produce_beats_per_record_3x(calls):
             "Broker.append_packed": rounds,
             "ReplicationManager.replicate_from_leader": rounds,
         }, produce.__name__
+
+
+def test_producer_pays_for_each_record_once(calls):
+    """``buffer`` + ``flush`` of 32 B records encodes each value once,
+    sizes each record once, hashes each distinct key once, and builds the
+    produce metadata from the stamped batch's columns."""
+    num_keys = 16
+    cluster = FabricCluster(num_brokers=1)
+    cluster.admin().create_topic(
+        "bench-produce", TopicConfig(num_partitions=4, replication_factor=1)
+    )
+    producer = FabricProducer(cluster, ProducerConfig(acks=1))
+    values = [{"payload": "x", "seq": 1_000_000 + i} for i in range(NUM_EVENTS)]
+    assert {len(serde.serialize(value)) for value in values} == {32}
+    partitioner._digest.cache_clear()
+    calls.watch(serde, "_json_encode")
+    calls.watch(hashlib, "md5")
+    calls.watch(EventRecord, "size_bytes")
+    calls.watch(PackedRecordBatch, "size_at")
+    for i, value in enumerate(values):
+        producer.buffer("bench-produce", value, key=f"k{i % num_keys:02d}")
+    metadata = producer.flush()
+    assert len(metadata) == NUM_EVENTS
+    assert calls["serde._json_encode"] == NUM_EVENTS
+    assert calls["hashlib.md5"] <= num_keys
+    assert calls["EventRecord.size_bytes"] <= NUM_EVENTS + 1
+    assert calls["PackedRecordBatch.size_at"] == 0
+    assert producer.metrics.bytes_sent == sum(md.serialized_size for md in metadata)
 
 
 def test_commit_group_beats_per_partition_commits_2x(calls):

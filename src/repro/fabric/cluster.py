@@ -29,6 +29,7 @@ than once per fetch and still sees revocations on its next call.
 
 from __future__ import annotations
 
+import itertools
 import threading
 from typing import (
     TYPE_CHECKING,
@@ -676,17 +677,9 @@ class FabricCluster:
                     stored = stamped.stored_at(index)
                     for sink in self._persistence_sinks:
                         sink(topic_name, partition, stored)
-        return [
-            RecordMetadata(
-                topic=topic_name,
-                partition=partition,
-                offset=stamped.offset_at(index),
-                timestamp=stamped.timestamp_at(index),
-                serialized_size=stamped.size_at(index),
-            )
-            for stamped in stamped_chunks
-            for index in range(len(stamped))
-        ]
+        return list(itertools.chain.from_iterable(
+            stamped.produce_metadata(topic_name, partition) for stamped in stamped_chunks
+        ))
 
     # ------------------------------------------------------------------ #
     # Data path: fetch

@@ -9,6 +9,7 @@ aggregate throughput in the paper's evaluation (Table III, experiment #6).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import threading
@@ -18,11 +19,18 @@ __all__ = ["Partitioner", "hash_key"]
 
 
 def hash_key(key: Any) -> int:
-    """Stable, process-independent hash of a record key."""
-    if isinstance(key, bytes):
-        data = key
-    else:
-        data = str(key).encode("utf-8")
+    """Stable, process-independent hash of a record key: the first eight
+    bytes of the md5 of ``key`` if it is bytes, else of ``str(key)``."""
+    return _digest(key if isinstance(key, bytes) else str(key))
+
+
+@functools.lru_cache(maxsize=4096, typed=True)
+def _digest(data) -> int:
+    """md5 prefix of ``data`` (bytes or text), memoised: a producer hashes
+    the same few keys over and over.  The cache is keyed by what is hashed,
+    not by the key, so ``1``, ``1.0`` and ``True`` keep distinct entries."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
     return int.from_bytes(hashlib.md5(data).digest()[:8], "big")
 
 

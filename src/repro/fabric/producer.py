@@ -177,13 +177,14 @@ class FabricProducer:
         ``config.retries`` times, as the SDK producer does.
         """
         self._ensure_open()
+        now = self._clock.now()
         record = EventRecord(
             value=value,
             key=key,
             headers=dict(headers or {}),
-            timestamp=timestamp if timestamp is not None else self._clock.now(),
+            timestamp=timestamp if timestamp is not None else now,
         )
-        target = self._select_partition(topic, key, partition)
+        target = self._select_partition(topic, key, partition, now)
         return self._send_with_retries(topic, target, record)
 
     def send_batch(
@@ -207,7 +208,7 @@ class FabricProducer:
         now = self._clock.now()
         for index, value in enumerate(values):
             record = EventRecord(value=value, key=key, timestamp=now)
-            target = self._select_partition(topic, key, partition)
+            target = self._select_partition(topic, key, partition, now)
             groups.setdefault(target, []).append((index, record))
         for target, items in groups.items():
             batch = RecordBatch.of(topic, target, [record for _, record in items])
@@ -226,7 +227,10 @@ class FabricProducer:
         would be exceeded.
         """
         self._ensure_open()
-        record = EventRecord(value=value, key=key, timestamp=self._clock.now())
+        # One clock read stamps the record, ages the partition metadata
+        # and dates a new batch; the record is sized once, here.
+        now = self._clock.now()
+        record = EventRecord(value=value, key=key, timestamp=now)
         size = record.size_bytes()
         with self._lock:
             if self._buffered_bytes + size > self.config.buffer_memory_bytes:
@@ -234,28 +238,18 @@ class FabricProducer:
                     f"producer buffer full ({self._buffered_bytes} B buffered, "
                     f"limit {self.config.buffer_memory_bytes} B); call flush()"
                 )
-            target = self._select_partition(topic, key, partition)
+            target = self._select_partition(topic, key, partition, now)
             batch_key = (topic, target)
             batch = self._pending.get(batch_key)
-            if batch is None:
+            if batch is None or not batch.try_append(record, size):
+                if batch is not None:
+                    # Seal the full batch; it is delivered on the next
+                    # flush, never dropped.
+                    self._sealed.append(batch)
                 batch = RecordBatch(
-                    topic,
-                    target,
-                    max_bytes=self.config.batch_max_bytes,
-                    created_at=self._clock.now(),
+                    topic, target, max_bytes=self.config.batch_max_bytes, created_at=now
                 )
-                self._pending[batch_key] = batch
-            if not batch.try_append(record):
-                # Seal the full batch; it is delivered on the next flush,
-                # never dropped.
-                self._sealed.append(batch)
-                batch = RecordBatch(
-                    topic,
-                    target,
-                    max_bytes=self.config.batch_max_bytes,
-                    created_at=self._clock.now(),
-                )
-                batch.try_append(record)
+                batch.try_append(record, size)
                 self._pending[batch_key] = batch
             self._buffered_bytes += size
         if self.config.linger_seconds > 0:
@@ -380,7 +374,9 @@ class FabricProducer:
         if self._closed:
             raise RuntimeError("producer is closed")
 
-    def _select_partition(self, topic: str, key: Any, explicit: Optional[int]) -> int:
+    def _select_partition(
+        self, topic: str, key: Any, explicit: Optional[int], now: float
+    ) -> int:
         """Route a record to a partition using cached topic metadata.
 
         Partition counts are cached per topic (one cluster metadata lookup
@@ -391,13 +387,13 @@ class FabricProducer:
         The cache is additionally scoped to the cluster's metadata epoch:
         an admin growing the topic (``FabricAdmin.set_partitions``) bumps
         the epoch, so records route to the new partitions immediately
-        rather than after the max-age window.
+        rather than after the max-age window.  ``now`` is the caller's
+        clock read, so a record costs one.
         """
         epoch = self._cluster.metadata_epoch
         if epoch != self._metadata_epoch:
             self._partition_counts.clear()
             self._metadata_epoch = epoch
-        now = self._clock.now()
         cached = self._partition_counts.get(topic)
         if cached is None or now - cached[1] >= self.config.metadata_max_age_seconds:
             num_partitions = self._cluster.topic(topic).num_partitions
@@ -478,8 +474,6 @@ class FabricProducer:
                 self.metrics.records_failed += len(batch)
             raise
         self.metrics.record_batch_send(
-            len(metadata),
-            sum(md.serialized_size for md in metadata),
-            time.perf_counter() - start,
+            len(metadata), batch.size_bytes, time.perf_counter() - start
         )
         return metadata

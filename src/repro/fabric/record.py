@@ -66,8 +66,10 @@ forwarded batch never pays the frame scan.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import json
+import operator
 import struct
 import threading
 import time
@@ -88,11 +90,8 @@ from typing import (
 from repro.fabric.errors import CorruptBatchError, UnknownCodecError
 from repro.fabric.serde import serialize, serialize_with_size, serialized_size
 
-_record_counter = itertools.count()
-
-
-def _next_record_id() -> int:
-    return next(_record_counter)
+#: Process-local record ids, numbered without a Python-level call.
+_next_record_id = itertools.count().__next__
 
 
 @dataclass(frozen=True)
@@ -132,22 +131,25 @@ class EventRecord:
         cached alongside the size so the wire packer reuses them — one
         encode pass covers both (see :func:`serialize_with_size`).
         """
-        cached = self.__dict__.get("_cached_size")
+        # Caches go straight into the instance dict, as cached_property
+        # does: a frozen record's fields are read-only, its derived values not.
+        state = self.__dict__
+        cached = state.get("_cached_size")
         if cached is not None:
             return cached
         encoded_value, size = serialize_with_size(self.value)
         if encoded_value is not None:
-            object.__setattr__(self, "_cached_value_body", encoded_value)
+            state["_cached_value_body"] = encoded_value
         if self.key is not None:
             encoded_key, key_size = serialize_with_size(self.key)
             size += key_size
             if encoded_key is not None:
-                object.__setattr__(self, "_cached_key_body", encoded_key)
+                state["_cached_key_body"] = encoded_key
         for name, val in self.headers.items():
-            size += len(name) + serialized_size(val)
+            size += len(name.encode("utf-8")) + serialized_size(val)
         # Fixed per-record framing overhead (offset, length, crc, attrs).
         size += 24
-        object.__setattr__(self, "_cached_size", size)
+        state["_cached_size"] = size
         return size
 
     def with_headers(self, **headers: str) -> "EventRecord":
@@ -224,6 +226,11 @@ class RecordMetadata(NamedTuple):
     offset: int
     timestamp: float
     serialized_size: int
+
+
+#: Row builders of :meth:`PackedRecordBatch.produce_metadata`; both run in C.
+_new_metadata = functools.partial(tuple.__new__, RecordMetadata)
+_timestamp_of = operator.attrgetter("timestamp")
 
 
 _TS = struct.Struct(">d")
@@ -494,12 +501,7 @@ class PackedRecordBatch:
         self._records = records
         if sizes is not None:
             self._sizes = sizes
-            cum = [0] * (len(sizes) + 1)
-            total = 0
-            for i, size in enumerate(sizes):
-                total += size
-                cum[i + 1] = total
-            self._cum = tuple(cum)
+            self._cum = tuple(itertools.accumulate(sizes, initial=0))
             self._max_size = max(sizes) if sizes else 0
             self._count = len(sizes)
         else:
@@ -651,12 +653,7 @@ class PackedRecordBatch:
             )
         self._frames = tuple(frames)
         self._sizes = tuple(sizes)
-        cum = [0] * (count + 1)
-        total = 0
-        for i, size in enumerate(sizes):
-            total += size
-            cum[i + 1] = total
-        self._cum = tuple(cum)
+        self._cum = tuple(itertools.accumulate(sizes, initial=0))
         self._max_size = max(sizes) if sizes else 0
 
     # -- constructors -------------------------------------------------- #
@@ -667,9 +664,13 @@ class PackedRecordBatch:
         *,
         base_offset: int = 0,
         append_time: float = 0.0,
+        sizes: Optional[Sequence[int]] = None,
     ) -> "PackedRecordBatch":
-        """Seal a producer wire batch: contiguous offsets, uniform time."""
+        """Seal a producer wire batch: contiguous offsets, uniform time;
+        ``sizes``, when given, is the records' size column."""
         records = tuple(records)
+        if sizes is None:
+            sizes = [record.size_bytes() for record in records]
         return cls(
             base_offset=base_offset,
             end_offset=base_offset + len(records),
@@ -679,7 +680,7 @@ class PackedRecordBatch:
             offsets=None,
             append_times=None,
             records=records,
-            sizes=tuple(record.size_bytes() for record in records),
+            sizes=tuple(sizes),
         )
 
     @classmethod
@@ -944,13 +945,27 @@ class PackedRecordBatch:
         taken = bisect.bisect_right(cum, cum[start] + budget, start, stop + 1) - 1 - start
         return taken if taken > 0 else 0
 
-    # -- decode (lazy, cached) ----------------------------------------- #
-    def timestamp_at(self, index: int) -> float:
+    def produce_metadata(self, topic: str, partition: int) -> list:
+        """One :class:`RecordMetadata` per record, built from the offset,
+        timestamp and size columns.  An in-process batch reads timestamps
+        off its record tuple; a wire-decoded one decodes its records."""
+        self._ensure_sizes()
         records = self._records
-        if records is not None:
-            return records[index].timestamp
-        return self.record_at(index).timestamp
+        if records is None:
+            records = [self.record_at(index) for index in range(self._count)]
+        offsets = self._offsets
+        if offsets is None:
+            offsets = range(self.base_offset, self.base_offset + self._count)
+        rows = zip(
+            itertools.repeat(topic),
+            itertools.repeat(partition),
+            offsets,
+            map(_timestamp_of, records),
+            self._sizes,
+        )
+        return list(map(_new_metadata, rows))
 
+    # -- decode (lazy, cached) ----------------------------------------- #
     def record_at(self, index: int) -> EventRecord:
         records = self._records
         overlay = self._overlay
@@ -1250,6 +1265,7 @@ class RecordBatch:
         self.partition = partition
         self.max_bytes = int(max_bytes)
         self._records: list[EventRecord] = []
+        self._sizes: list[int] = []
         self._size = 0
         self._packed: Optional[PackedRecordBatch] = None
         self._wire_sealed: Optional[Tuple[str, PackedRecordBatch]] = None
@@ -1269,17 +1285,20 @@ class RecordBatch:
     def size_bytes(self) -> int:
         return self._size
 
-    def try_append(self, record: EventRecord) -> bool:
+    def try_append(self, record: EventRecord, size: Optional[int] = None) -> bool:
         """Append ``record`` if it fits; return ``False`` when the batch is full.
 
+        ``size`` is ``record.size_bytes()`` when the caller already has it.
         An empty batch always accepts one record even if it exceeds
         ``max_bytes`` — oversize rejection is the broker's job.
         """
-        record_size = record.size_bytes()
-        if self._records and self._size + record_size > self.max_bytes:
+        if size is None:
+            size = record.size_bytes()
+        if self._records and self._size + size > self.max_bytes:
             return False
         self._records.append(record)
-        self._size += record_size
+        self._sizes.append(size)
+        self._size += size
         self._packed = None
         self._wire_sealed = None
         return True
@@ -1295,7 +1314,7 @@ class RecordBatch:
         replica and out through fetch — retries reuse the cached seal."""
         packed = self._packed
         if packed is None:
-            packed = PackedRecordBatch.from_events(tuple(self._records))
+            packed = PackedRecordBatch.from_events(self._records, sizes=self._sizes)
             self._packed = packed
         return packed
 

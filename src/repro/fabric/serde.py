@@ -24,11 +24,18 @@ class SerdeError(ValueError):
     """Raised when a value cannot be serialized for the fabric."""
 
 
+#: Built once: ``json.dumps`` with any option set constructs a fresh
+#: ``JSONEncoder`` per call, which cost more than the encode of a small event.
+_ENCODER = json.JSONEncoder(sort_keys=True, default=str)
+
+
 def _json_encode(value: Any) -> bytes:
     """The one JSON encode seam: every fabric JSON encode funnels through
     here (looked up at call time), so tests can count encode passes and
-    alternative encoders can be swapped in process-wide."""
-    return json.dumps(value, sort_keys=True, default=str).encode("utf-8")
+    alternative encoders can be swapped in process-wide.  It encodes with
+    the prebuilt :data:`_ENCODER`: the bytes equal ``json.dumps(value,
+    sort_keys=True, default=str)``'s."""
+    return _ENCODER.encode(value).encode("utf-8")
 
 
 def serialize(value: Any) -> bytes:
@@ -63,9 +70,11 @@ def serialize_with_size(value: Any) -> tuple:
     (:meth:`EventRecord.size_bytes`) can cache the bytes for the packer.
 
     For the cheap scalar cases where the size is derivable without an
-    encode (``bytes``/``str``/``int``/``None``) the first element is
-    ``None`` and no encode happens — those types re-encode in O(len)
-    anyway, so caching would only burn memory.
+    encode (``bytes``/``str``/``bool``/``int``/``None``) the first element
+    is ``None`` and no encode happens — those types re-encode in O(len)
+    anyway, so caching would only burn memory.  Every other value, floats
+    included, is sized by its encode, so the size is the length of the
+    body the wire carries.
     """
     if value is None:
         return None, 0
@@ -74,11 +83,9 @@ def serialize_with_size(value: Any) -> tuple:
     if isinstance(value, str):
         return None, len(value.encode("utf-8"))
     if isinstance(value, bool):
-        return None, 5
-    if isinstance(value, int):
+        return None, 4 if value else 5
+    if type(value) is int:
         return None, len(str(value))
-    if isinstance(value, float):
-        return None, 18
     encoded = serialize(value)
     return encoded, len(encoded)
 
@@ -102,8 +109,8 @@ def deserialize(payload: bytes) -> Any:
 def serialized_size(value: Any) -> int:
     """Size in bytes of ``value`` once serialized.
 
-    Cheap paths for the common cases (bytes/str/int/float) avoid a full
-    JSON round trip in the hot produce path.  Callers that may later need
+    Cheap paths for bytes, str, bool, int and None avoid a JSON encode;
+    any other value is encoded to be sized.  Callers that may later need
     the encoded bytes as well (the wire packer) should prefer
     :func:`serialize_with_size`, which shares one encode pass between the
     size computation and the encode instead of serializing twice.

@@ -47,6 +47,25 @@ class TestPartitioner:
         assert hash_key("abc") == hash_key("abc")
         assert hash_key(b"abc") == hash_key("abc")
 
+    # md5 prefixes of the hashed text; a change here moves keys to other
+    # partitions, breaking per-key order across an upgrade.
+    GOLDEN_HASHES = (
+        ("p0-k01", 14432130226363298215),
+        (b"p0-k01", 14432130226363298215),
+        (1, 14180219187711517570),
+        (True, 17881488745847489677),
+        (1.0, 16483993693623560906),
+    )
+
+    def test_partition_mapping_is_pinned_cold_and_warm(self):
+        from repro.fabric import partitioner
+
+        partitioner._digest.cache_clear()
+        cold = [hash_key(key) for key, _ in self.GOLDEN_HASHES]
+        warm = [hash_key(key) for key, _ in self.GOLDEN_HASHES]
+        assert cold == warm == [value for _, value in self.GOLDEN_HASHES]
+        assert hash_key(1) != hash_key(True) != hash_key(1.0)
+
 
 class TestProducer:
     def test_send_returns_metadata(self, cluster):

@@ -1,11 +1,19 @@
 """Tests for event records, batches and serde."""
 
+import datetime
+import decimal
 import json
+import re
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from repro.fabric.record import EventRecord, RecordBatch, StoredRecord
-from repro.fabric.serde import deserialize, serialize, serialized_size
+from repro.fabric import serde
+from repro.fabric.record import EventRecord, PackedRecordBatch, RecordBatch, StoredRecord
+from repro.fabric.serde import SerdeError, deserialize, serialize, serialized_size
+
+_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
 
 
 class TestEventRecord:
@@ -45,6 +53,27 @@ class TestEventRecord:
         record = EventRecord(value={"a": 1}, key="k")
         parsed = json.loads(record.to_json())
         assert parsed["value"] == {"a": 1}
+
+
+class TestSizeAcrossTheWire:
+    """A record's accounted size is the same in process and after a wire
+    round trip, so ``serialized_size``, ``max.message.bytes`` admission and
+    byte budgets do not depend on the path the record took."""
+
+    @given(
+        value=_SCALARS | st.binary() | st.dictionaries(st.text(), _SCALARS, max_size=4),
+        key=_SCALARS | st.binary(),
+        headers=st.dictionaries(st.text(max_size=8), st.text(max_size=8), max_size=3),
+    )
+    @example(value=True, key=None, headers={})
+    @example(value=1.5, key="k", headers={})
+    @example(value=float("inf"), key=False, headers={})
+    @example(value=7, key=None, headers={"nämé": "v"})
+    @example(value=re.IGNORECASE, key=None, headers={})  # str() is not its JSON
+    def test_in_process_size_equals_wire_size(self, value, key, headers):
+        record = EventRecord(value=value, key=key, headers=headers)
+        image = PackedRecordBatch.from_events([record]).seal_wire("none").to_bytes()
+        assert record.size_bytes() == PackedRecordBatch.from_bytes(image).size_at(0)
 
 
 class TestStoredRecord:
@@ -104,6 +133,55 @@ class TestSerde:
         assert serialized_size(b"abcd") == 4
         assert serialized_size("abcd") == 4
         assert serialized_size(12345) == 5
+
+
+class _Opaque:
+    """Not JSON-encodable: the encoder falls back to ``str``."""
+
+    def __init__(self, text):
+        self.text = text
+
+    def __str__(self):
+        return f"opaque<{self.text}>"
+
+
+_DICT_KEYS = st.text() | st.integers() | st.floats() | st.booleans() | st.none()
+_JSON_LIKE = st.recursive(
+    _SCALARS
+    | st.builds(_Opaque, st.text())
+    | st.datetimes()
+    | st.decimals(allow_nan=False),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(_DICT_KEYS, children, max_size=4),
+    max_leaves=20,
+)
+
+
+def _outcome(encode, value):
+    try:
+        return encode(value)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+class TestPrebuiltEncoder:
+    @given(_JSON_LIKE)
+    @example(float("nan"))
+    @example({"ü": [float("inf"), -float("inf")], 2: None})
+    @example({1: "int key", 0.5: "float key", True: "bool key"})
+    @example({"a": 1, 2: "mixed key types"})
+    @example([_Opaque("x"), datetime.date(2024, 1, 2), decimal.Decimal("1.10")])
+    def test_bytes_equal_json_dumps(self, value):
+        expected = _outcome(
+            lambda v: json.dumps(v, sort_keys=True, default=str).encode("utf-8"), value
+        )
+        assert _outcome(serde._json_encode, value) == expected
+
+    def test_circular_value_is_a_serde_error(self):
+        looped = {"a": []}
+        looped["a"].append(looped)
+        with pytest.raises(SerdeError):
+            serialize(looped)
 
 
 class TestSingleEncodePass:
