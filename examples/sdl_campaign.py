@@ -10,16 +10,21 @@ Run with::
     python examples/sdl_campaign.py
 """
 
-import time
-
 from repro.apps.sdl import SelfDrivingLab
+from repro.common.clock import ManualClock
 from repro.core import OctopusDeployment
 
 
 def main() -> None:
-    deployment = OctopusDeployment.create()
+    # A manual clock lets the campaign span hours without waiting for them.
+    clock = ManualClock(1_700_000_000.0)
+    deployment = OctopusDeployment.create(clock=clock)
     operator = deployment.client("sdl-operator", "anl.gov")
     lab = SelfDrivingLab(operator)
+
+    # One experiment stalls mid-flight; two hours pass before the campaign.
+    lab.record_action("catalyst-stuck", "xrd-beamline", "running_instrument")
+    clock.advance(7200.0)
 
     # Run a small campaign across two instruments.
     for index in range(3):
@@ -28,10 +33,6 @@ def main() -> None:
     for index in range(2):
         lab.run_experiment(f"catalyst-{index}", "xrd-beamline",
                            results={"phase": "cubic"})
-
-    # One experiment stalls mid-flight.
-    lab.record_action("catalyst-stuck", "xrd-beamline", "running_instrument",
-                      timestamp=time.time() - 7200.0)
 
     print("Campaign status:")
     for experiment, stage in sorted(lab.experiment_status().items()):

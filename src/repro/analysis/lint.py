@@ -1,24 +1,16 @@
 """Driver and CLI for the fabric-san lint (``python -m repro.analysis.lint``).
 
 Runs the repo-specific AST rules in :mod:`repro.analysis.rules` over a
-set of files or directories, applies per-line suppressions and the
-committed baseline, and reports.
+set of files or directories, applies per-line suppressions, and reports
+every remaining finding.  A run fails on any finding, so the tree
+stays at zero.
 
 **Suppression** — append ``# lint: ignore[RULE]`` (several rules:
 ``# lint: ignore[RULE-A,RULE-B]``) to the violating line.  Suppressions
 are for deliberate, documented exceptions: pair them with a short
 rationale comment.
 
-**Baseline ratchet** — pre-existing debt lives in
-``analysis-baseline.json``: a map of ``path::RULE::message`` keys to
-occurrence counts.  A run fails on any violation *not* covered by the
-baseline, and *also* fails when the baseline over-covers (an entry's
-count exceeds what the code still contains): fixed debt must be struck
-from the baseline in the same change (``--update-baseline``), so the
-file only ever shrinks.  Growing it requires the explicit
-``--allow-growth`` flag — reviewers see new debt as a baseline diff.
-
-Exit codes: 0 clean, 1 findings (or stale baseline), 2 usage error.
+Exit codes: 0 clean, 1 findings, 2 usage error.
 """
 
 from __future__ import annotations
@@ -26,7 +18,6 @@ from __future__ import annotations
 import argparse
 import ast
 import io
-import json
 import re
 import sys
 import tokenize
@@ -34,8 +25,6 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.rules import ALL_RULES, FileContext, Violation
-
-DEFAULT_BASELINE = "analysis-baseline.json"
 
 _IGNORE_RE = re.compile(r"lint:\s*ignore\[([A-Za-z0-9_,\- ]+)\]")
 
@@ -104,52 +93,6 @@ def lint_paths(paths: Sequence[str], root: Optional[Path] = None) -> List[Violat
 
 
 # --------------------------------------------------------------------- #
-# Baseline
-# --------------------------------------------------------------------- #
-def violation_counts(violations: Iterable[Violation]) -> Dict[str, int]:
-    counts: Dict[str, int] = {}
-    for violation in violations:
-        counts[violation.baseline_key] = counts.get(violation.baseline_key, 0) + 1
-    return counts
-
-
-def load_baseline(path: Path) -> Dict[str, int]:
-    data = json.loads(path.read_text(encoding="utf-8"))
-    if not isinstance(data, dict) or not all(
-        isinstance(v, int) and v > 0 for v in data.values()
-    ):
-        raise ValueError(f"malformed baseline file {path}")
-    return data
-
-
-def write_baseline(path: Path, counts: Dict[str, int]) -> None:
-    path.write_text(
-        json.dumps(dict(sorted(counts.items())), indent=2) + "\n", encoding="utf-8"
-    )
-
-
-def apply_baseline(
-    violations: Sequence[Violation], baseline: Dict[str, int]
-) -> Tuple[List[Violation], Dict[str, int]]:
-    """Split findings into (new violations, stale baseline entries).
-
-    Stale entries — keys whose baselined count exceeds what the code
-    still contains — are errors too: the ratchet only works if fixed
-    debt is struck from the baseline in the same change.
-    """
-    remaining = dict(baseline)
-    fresh: List[Violation] = []
-    for violation in violations:
-        key = violation.baseline_key
-        if remaining.get(key, 0) > 0:
-            remaining[key] -= 1
-        else:
-            fresh.append(violation)
-    stale = {key: count for key, count in remaining.items() if count > 0}
-    return fresh, stale
-
-
-# --------------------------------------------------------------------- #
 # CLI
 # --------------------------------------------------------------------- #
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -158,24 +101,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         description="fabric-san: concurrency/clock lint for this repo",
     )
     parser.add_argument("paths", nargs="+", help="files or directories to lint")
-    parser.add_argument(
-        "--baseline",
-        default=DEFAULT_BASELINE,
-        help=f"baseline file (default: {DEFAULT_BASELINE})",
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true", help="report every violation"
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline from the current findings (shrink-only)",
-    )
-    parser.add_argument(
-        "--allow-growth",
-        action="store_true",
-        help="allow --update-baseline to add debt (reviewed exception)",
-    )
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -187,57 +112,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    baseline_path = Path(args.baseline)
-    baseline: Dict[str, int] = {}
-    have_baseline = not args.no_baseline and baseline_path.exists()
-    if have_baseline:
-        try:
-            baseline = load_baseline(baseline_path)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
-    if args.update_baseline:
-        counts = violation_counts(violations)
-        # An existing baseline ratchets even when it is empty — a tree
-        # whose debt reached zero must not silently grow new debt.
-        if have_baseline and not args.allow_growth:
-            grown = {
-                key: count
-                for key, count in counts.items()
-                if count > baseline.get(key, 0)
-            }
-            if grown:
-                print(
-                    "refusing to grow the baseline (ratchet); new debt:",
-                    file=sys.stderr,
-                )
-                for key in sorted(grown):
-                    print(f"  {key} (x{grown[key]})", file=sys.stderr)
-                print(
-                    "fix the findings or pass --allow-growth.", file=sys.stderr
-                )
-                return 1
-        write_baseline(baseline_path, counts)
-        print(f"baseline written: {baseline_path} ({sum(counts.values())} findings)")
-        return 0
-
-    fresh, stale = apply_baseline(violations, baseline)
-    for violation in fresh:
+    for violation in violations:
         print(violation.render())
-    for key in sorted(stale):
-        print(
-            f"stale baseline entry (fixed debt — shrink the baseline with "
-            f"--update-baseline): {key} (x{stale[key]})"
-        )
-    baselined = len(violations) - len(fresh)
-    if fresh or stale:
-        print(
-            f"\nfabric-san: {len(fresh)} violation(s), {len(stale)} stale "
-            f"baseline entr(ies), {baselined} baselined."
-        )
+    if violations:
+        print(f"\nfabric-san: {len(violations)} violation(s).")
         return 1
-    print(f"fabric-san: clean ({baselined} baselined finding(s) remaining).")
+    print("fabric-san: clean.")
     return 0
 
 

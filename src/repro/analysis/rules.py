@@ -79,22 +79,12 @@ _GUARDED_BY_RE = re.compile(r"#:?\s*guarded_by\s+([A-Za-z_]\w*)")
 
 @dataclass(frozen=True)
 class Violation:
-    """One finding: rule code, repo-relative path, line, stable message.
-
-    ``message`` deliberately carries no line number — the baseline keys
-    on ``(path, rule, message)`` with a count, so findings survive
-    unrelated line drift and the committed debt can only be paid down,
-    never silently renumbered.
-    """
+    """One finding: rule code, repo-relative path, line, message."""
 
     rule: str
     path: str
     line: int
     message: str
-
-    @property
-    def baseline_key(self) -> str:
-        return f"{self.path}::{self.rule}::{self.message}"
 
     def render(self) -> str:
         return f"{self.path}:{self.line}: [{self.rule}] {self.message}"

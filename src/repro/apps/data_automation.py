@@ -54,7 +54,9 @@ class DataAutomationPipeline:
         self.deployment = deployment
         self.client = client
         self.global_topic = global_topic
-        self.transfer = transfer_service or TransferService()
+        self.transfer = transfer_service or TransferService(
+            clock=deployment.cluster.clock
+        )
         self.replicated: List[dict] = []
         client.register_topic(global_topic, {"num_partitions": 4})
         self._global_producer = client.producer()
@@ -68,14 +70,17 @@ class DataAutomationPipeline:
     # ------------------------------------------------------------------ #
     def add_site(self, name: str) -> SiteState:
         """Stand up the edge stack of one facility."""
-        local_cluster = FabricCluster(num_brokers=1, name=f"{name}-local-kafka")
+        clock = self.deployment.cluster.clock
+        local_cluster = FabricCluster(
+            num_brokers=1, name=f"{name}-local-kafka", clock=clock
+        )
         local_cluster.admin().create_topic("fsmon-raw", TopicConfig(num_partitions=1))
         local_producer = FabricProducer(local_cluster)
         aggregator = LocalAggregator(
             interesting_types=("created",),
             publish=lambda event, site=name: self._publish_global(site, event),
         )
-        monitor = FileSystemMonitor(name)
+        monitor = FileSystemMonitor(name, clock=clock)
         site = SiteState(
             name=name,
             monitor=monitor,

@@ -87,7 +87,7 @@ class EpidemicPlatform:
         self.deployment = deployment
         self.client = client
         self.anomaly_threshold_r = anomaly_threshold_r
-        self.store = store or ObjectStore()
+        self.store = store or ObjectStore(clock=deployment.cluster.clock)
         self.sources: Dict[str, DataSource] = {}
         self.model_results: List[dict] = []
         self.notifications: List[dict] = []

@@ -165,7 +165,8 @@ class SchedulingApplication:
         self.topic = topic
         client.register_topic(topic, {"num_partitions": 4})
         self._producer = client.producer()
-        self.compute = ComputeService()
+        clock = client.service.cluster.clock
+        self.compute = ComputeService(clock=clock)
         self.monitors: Dict[str, ResourceUtilizationMonitor] = {}
         for index, name in enumerate(resources or ["edge-node", "campus-cluster", "hpc-system"]):
             cores = 8 * (4 ** index)
@@ -178,6 +179,7 @@ class SchedulingApplication:
                 sink=lambda sample, name=name: self._producer.send(
                     topic, sample, key=name
                 ),
+                clock=clock,
                 seed=17 + index,
             )
         self.scheduler = EnergyAwareScheduler(

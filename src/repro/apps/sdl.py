@@ -9,7 +9,6 @@ administrators.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
@@ -55,6 +54,8 @@ class SelfDrivingLab:
                  num_partitions: int = 2) -> None:
         self.client = client
         self.topic = topic
+        # Event times and stall ages ride the client's cluster clock.
+        self._clock = client.service.cluster.clock
         client.register_topic(topic, {"num_partitions": num_partitions})
         self._producer = client.producer()
 
@@ -68,14 +69,13 @@ class SelfDrivingLab:
         action: str,
         *,
         metadata: Optional[Dict[str, Any]] = None,
-        timestamp: Optional[float] = None,
     ) -> SDLEvent:
-        """Record one action; events for one experiment stay ordered."""
+        """Record one action, stamped now; events for one experiment stay ordered."""
         event = SDLEvent(
             experiment_id=experiment_id,
             instrument=instrument,
             action=action,
-            timestamp=timestamp if timestamp is not None else time.time(),
+            timestamp=self._clock.now(),
             metadata=dict(metadata or {}),
         )
         # Keyed by experiment so per-experiment ordering is preserved.
@@ -116,10 +116,9 @@ class SelfDrivingLab:
                 status[event["experiment_id"]] = (event["timestamp"], event["action"])
         return {exp: action for exp, (_, action) in status.items()}
 
-    def detect_stalled(self, *, now: Optional[float] = None,
-                       timeout_seconds: float = 3600.0) -> List[str]:
+    def detect_stalled(self, *, timeout_seconds: float = 3600.0) -> List[str]:
         """Experiments whose last event is old and not terminal (error detection)."""
-        now = now if now is not None else time.time()
+        now = self._clock.now()
         latest: Dict[str, tuple] = {}
         for event in self.event_log():
             current = latest.get(event["experiment_id"])

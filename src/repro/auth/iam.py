@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import fnmatch
 import secrets
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
+
+from repro.common.clock import Clock, SystemClock
 
 
 class IamError(Exception):
@@ -66,7 +67,7 @@ class AccessKey:
     access_key_id: str
     secret_access_key: str
     principal: str
-    created_at: float = field(default_factory=time.time)
+    created_at: float
     active: bool = True
 
 
@@ -83,7 +84,8 @@ class IamIdentity:
 class IamService:
     """Manages IAM identities, keys and policy evaluation."""
 
-    def __init__(self) -> None:
+    def __init__(self, *, clock: Optional[Clock] = None) -> None:
+        self.clock: Clock = clock or SystemClock()
         self._identities: Dict[str, IamIdentity] = {}
         self._keys: Dict[str, AccessKey] = {}
 
@@ -129,6 +131,7 @@ class IamService:
             access_key_id="AKIA" + secrets.token_hex(8).upper(),
             secret_access_key=secrets.token_urlsafe(30),
             principal=principal,
+            created_at=self.clock.now(),
         )
         self._keys[key.access_key_id] = key
         return key

@@ -12,11 +12,11 @@ is modelled here by :meth:`AuthorizationServer.dependent_token`.
 from __future__ import annotations
 
 import secrets
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.auth.identity import IdentityStore
+from repro.common.clock import Clock, SystemClock
 
 
 class AuthError(Exception):
@@ -56,8 +56,7 @@ class AccessToken:
     delegated_from: Optional[str] = None
     revoked: bool = False
 
-    def is_valid(self, now: Optional[float] = None) -> bool:
-        now = now if now is not None else time.time()
+    def is_valid(self, now: float) -> bool:
         return not self.revoked and now < self.expires_at
 
     def has_scope(self, scope: str) -> bool:
@@ -80,9 +79,11 @@ class AuthorizationServer:
         identities: Optional[IdentityStore] = None,
         *,
         default_token_lifetime: float = 48 * 3600.0,
+        clock: Optional[Clock] = None,
     ) -> None:
         self.identities = identities or IdentityStore()
         self.default_token_lifetime = default_token_lifetime
+        self.clock: Clock = clock or SystemClock()
         self._resource_servers: Dict[str, ResourceServer] = {}
         self._tokens: Dict[str, AccessToken] = {}
         self._refresh_tokens: Dict[str, str] = {}  # refresh token -> access token
@@ -169,14 +170,12 @@ class AuthorizationServer:
     # ------------------------------------------------------------------ #
     # Validation / revocation
     # ------------------------------------------------------------------ #
-    def validate(
-        self, token: str, required_scope: Optional[str] = None, now: Optional[float] = None
-    ) -> AccessToken:
+    def validate(self, token: str, required_scope: Optional[str] = None) -> AccessToken:
         """Validate a bearer token and (optionally) a required scope."""
         entry = self._tokens.get(token)
         if entry is None:
             raise InvalidTokenError("unknown access token")
-        if not entry.is_valid(now=now):
+        if not entry.is_valid(self.clock.now()):
             raise InvalidTokenError("token expired or revoked")
         if required_scope is not None and not entry.has_scope(required_scope):
             raise InsufficientScopeError(
@@ -187,7 +186,7 @@ class AuthorizationServer:
     def introspect(self, token: str) -> dict:
         """RFC 7662-style introspection response."""
         entry = self._tokens.get(token)
-        if entry is None or not entry.is_valid():
+        if entry is None or not entry.is_valid(self.clock.now()):
             return {"active": False}
         return {
             "active": True,
@@ -231,7 +230,7 @@ class AuthorizationServer:
         with_refresh: bool,
     ) -> AccessToken:
         lifetime = lifetime if lifetime is not None else self.default_token_lifetime
-        now = time.time()
+        now = self.clock.now()
         token = AccessToken(
             token=secrets.token_urlsafe(32),
             principal=principal,

@@ -4,8 +4,14 @@ Several Octopus behaviours are defined in terms of wall-clock intervals —
 Lambda re-evaluates processing pressure every minute, consumers auto-commit
 every few seconds, retention is measured in days.  Tests and the
 benchmark harness cannot wait real minutes, so components that care about
-time accept a :class:`Clock` and the benchmarks drive a
+time read a :class:`Clock` and the benchmarks drive a
 :class:`ManualClock` forward deterministically.
+
+There is one clock per deployment, handed down rather than re-read: a
+component that holds a time-aware collaborator (a cluster, an auth server,
+a client) takes that collaborator's clock before it grows a ``clock=``
+seam of its own, and only a component with no such collaborator accepts
+``clock=None`` (defaulting to :class:`SystemClock`).
 """
 
 from __future__ import annotations

@@ -13,9 +13,10 @@ by a lock (linearizable by construction).
 from __future__ import annotations
 
 import threading
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
+
+from repro.common.clock import Clock, SystemClock
 
 
 class CoordinationError(Exception):
@@ -54,10 +55,10 @@ class ZNode:
     """Internal representation of a znode."""
 
     path: str
+    created_at: float
+    modified_at: float
     data: Any = None
     version: int = 0
-    created_at: float = field(default_factory=time.time)
-    modified_at: float = field(default_factory=time.time)
     ephemeral_owner: Optional[str] = None
     sequence_counter: int = 0
 
@@ -73,8 +74,12 @@ class ZooKeeperEnsemble:
     the same linearizable semantics.
     """
 
-    def __init__(self) -> None:
-        self._nodes: Dict[str, ZNode] = {"/": ZNode(path="/")}
+    def __init__(self, *, clock: Optional[Clock] = None) -> None:
+        self.clock: Clock = clock or SystemClock()
+        now = self.clock.now()
+        self._nodes: Dict[str, ZNode] = {
+            "/": ZNode(path="/", created_at=now, modified_at=now)
+        }
         self._lock = threading.RLock()
         self._watches: Dict[str, List[WatchCallback]] = {}
         self._child_watches: Dict[str, List[WatchCallback]] = {}
@@ -126,7 +131,11 @@ class ZooKeeperEnsemble:
                 path = f"{path}{seq:010d}"
             if path in self._nodes:
                 raise NodeExistsError(f"znode {path!r} already exists")
-            self._nodes[path] = ZNode(path=path, data=data, ephemeral_owner=ephemeral_owner)
+            now = self.clock.now()
+            self._nodes[path] = ZNode(
+                path=path, created_at=now, modified_at=now, data=data,
+                ephemeral_owner=ephemeral_owner,
+            )
             if ephemeral_owner is not None:
                 self._sessions.setdefault(ephemeral_owner, []).append(path)
             self._fire_child_watches(parent)
@@ -166,7 +175,7 @@ class ZooKeeperEnsemble:
                 )
             node.data = data
             node.version += 1
-            node.modified_at = time.time()
+            node.modified_at = self.clock.now()
             self._fire_watches("changed", path)
             return node.version
 

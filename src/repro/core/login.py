@@ -3,12 +3,13 @@
 The SDK's login manager performs the Globus Auth flow once, caches the
 resulting tokens (and later the MSK key/secret) in the local SQLite store,
 and transparently refreshes tokens as they approach expiry
-(Section IV-E of the paper).
+(Section IV-E of the paper).  Freshness is judged on the auth server's
+clock, so the manager and the server it refreshes against agree on when a
+token expires.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Optional
 
 from repro.auth.oauth import AccessToken, AuthorizationServer, InvalidTokenError
@@ -46,9 +47,7 @@ class LoginManager:
         principal = f"{username}@{domain}"
         self._principal = principal
         cached = self.store.get_token(principal, RESOURCE_SERVER)
-        if cached is not None and self.store.token_is_fresh(
-            principal, RESOURCE_SERVER, margin_seconds=self.refresh_margin_seconds
-        ):
+        if cached is not None and self._is_fresh(principal):
             return cached["access_token"]
         if cached is not None and cached.get("refresh_token"):
             try:
@@ -68,7 +67,7 @@ class LoginManager:
         cached = self.store.get_token(self._principal, RESOURCE_SERVER)
         if cached is None:
             raise RuntimeError("no cached token; call login() first")
-        if cached["expires_at"] - self.refresh_margin_seconds > time.time():
+        if self._is_fresh(self._principal):
             return cached["access_token"]
         if cached.get("refresh_token"):
             refreshed = self.auth.refresh(cached["refresh_token"])
@@ -87,6 +86,12 @@ class LoginManager:
         self.store.delete_credentials(self._principal)
 
     # ------------------------------------------------------------------ #
+    def _is_fresh(self, principal: str) -> bool:
+        return self.store.token_is_fresh(
+            principal, RESOURCE_SERVER, now=self.auth.clock.now(),
+            margin_seconds=self.refresh_margin_seconds,
+        )
+
     def _cache(self, principal: str, token: AccessToken) -> None:
         self.store.store_token(
             principal,

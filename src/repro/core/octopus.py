@@ -17,6 +17,7 @@ from repro.auth.acl import AclStore
 from repro.auth.iam import IamService
 from repro.auth.identity import IdentityStore
 from repro.auth.oauth import AuthorizationServer
+from repro.common.clock import Clock, SystemClock
 from repro.coordination.metadata import ClusterMetadataRegistry
 from repro.coordination.zookeeper import ZooKeeperEnsemble
 from repro.core.sdk import OctopusClient
@@ -57,12 +58,19 @@ class OctopusDeployment:
         memory_gb_per_broker: int = 8,
         cluster_name: str = "octopus-msk",
         enforce_acls: bool = True,
+        clock: Optional[Clock] = None,
     ) -> "OctopusDeployment":
-        """Stand up a full deployment (the Table II *baseline* by default)."""
+        """Stand up a full deployment (the Table II *baseline* by default).
+
+        Every component reads the one ``clock`` (default: wall time), so a
+        :class:`~repro.common.clock.ManualClock` drives token expiry,
+        znode stamps, record append times and invocation logs together.
+        """
+        clock = clock or SystemClock()
         identities = IdentityStore()
-        auth = AuthorizationServer(identities)
-        iam = IamService()
-        zookeeper = ZooKeeperEnsemble()
+        auth = AuthorizationServer(identities, clock=clock)
+        iam = IamService(clock=clock)
+        zookeeper = ZooKeeperEnsemble(clock=clock)
         metadata = ClusterMetadataRegistry(zookeeper)
         acls = AclStore(group_resolver=identities.groups_for)
         cluster = FabricCluster(
@@ -71,10 +79,11 @@ class OctopusDeployment:
             vcpus_per_broker=vcpus_per_broker,
             memory_gb_per_broker=memory_gb_per_broker,
             name=cluster_name,
+            clock=clock,
         )
         functions = FunctionRegistry()
         logs = LogService()
-        executor = LambdaExecutor(functions, logs)
+        executor = LambdaExecutor(functions, logs, clock=clock)
         triggers = TriggerManager(
             cluster,
             metadata,

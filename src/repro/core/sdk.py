@@ -129,7 +129,9 @@ class OctopusClient:
                 self._credentials = cached
                 return cached
         credentials = self._request("GET", "/create_key")
-        self.store.store_credentials(self.principal, credentials)
+        self.store.store_credentials(
+            self.principal, credentials, created_at=self.login_manager.auth.clock.now()
+        )
         self._credentials = credentials
         return credentials
 

@@ -6,6 +6,9 @@ secrets are stored in a local SQLite database and automatically refreshed
 as needed" (Section IV-E).  :class:`TokenStore` is that database; it can
 live on disk (``~/.octopus/storage.db`` equivalent) or in memory for
 tests.
+
+The store keeps no clock: every time it records or compares comes from
+the caller, which reads its own component's clock.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from __future__ import annotations
 import json
 import sqlite3
 import threading
-import time
 from typing import Any, Dict, Optional
 
 
@@ -64,6 +66,7 @@ class TokenStore:
         expires_at: float,
         scopes: Optional[list] = None,
     ) -> None:
+        encoded_scopes = json.dumps(scopes or [])
         with self._lock:
             self._conn.execute(
                 "INSERT OR REPLACE INTO tokens VALUES (?, ?, ?, ?, ?, ?)",
@@ -73,7 +76,7 @@ class TokenStore:
                     access_token,
                     refresh_token,
                     float(expires_at),
-                    json.dumps(scopes or []),
+                    encoded_scopes,
                 ),
             )
             self._conn.commit()
@@ -95,14 +98,13 @@ class TokenStore:
         }
 
     def token_is_fresh(
-        self, principal: str, resource_server: str, *, margin_seconds: float = 60.0,
-        now: Optional[float] = None,
+        self, principal: str, resource_server: str, *, now: float,
+        margin_seconds: float = 60.0,
     ) -> bool:
         """Whether a cached token exists and will stay valid past ``margin``."""
         entry = self.get_token(principal, resource_server)
         if entry is None:
             return False
-        now = now if now is not None else time.time()
         return entry["expires_at"] - margin_seconds > now
 
     def delete_token(self, principal: str, resource_server: str) -> None:
@@ -116,11 +118,14 @@ class TokenStore:
     # ------------------------------------------------------------------ #
     # MSK credentials
     # ------------------------------------------------------------------ #
-    def store_credentials(self, principal: str, credentials: Dict[str, Any]) -> None:
+    def store_credentials(
+        self, principal: str, credentials: Dict[str, Any], *, created_at: float
+    ) -> None:
+        payload = json.dumps(credentials)
         with self._lock:
             self._conn.execute(
                 "INSERT OR REPLACE INTO credentials VALUES (?, ?, ?)",
-                (principal, json.dumps(credentials), time.time()),
+                (principal, payload, float(created_at)),
             )
             self._conn.commit()
 

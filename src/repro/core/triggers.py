@@ -107,7 +107,9 @@ class TriggerManager:
         self.iam = iam
         self.functions = functions or FunctionRegistry()
         self.logs = logs or LogService()
-        self.executor = executor or LambdaExecutor(self.functions, self.logs)
+        self.executor = executor or LambdaExecutor(
+            self.functions, self.logs, clock=cluster.clock
+        )
         self._authorize = authorize or (lambda principal, topic: True)
         self.scaling_policy = scaling_policy or ScalingPolicy()
         self._triggers: Dict[str, DeployedTrigger] = {}

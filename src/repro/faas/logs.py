@@ -11,7 +11,6 @@ Figure 2 would display.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from statistics import fmean
 from typing import Dict, List, Optional, Sequence
@@ -48,10 +47,10 @@ class LogGroup:
     events: List[LogEvent] = field(default_factory=list)
     retention_days: int = 7
 
-    def put(self, message: str, *, level: str = "INFO",
-            timestamp: Optional[float] = None, **fields) -> LogEvent:
+    def put(self, message: str, *, timestamp: float, level: str = "INFO",
+            **fields) -> LogEvent:
         event = LogEvent(
-            timestamp=timestamp if timestamp is not None else time.time(),
+            timestamp=timestamp,
             message=message,
             level=level,
             fields=dict(fields),

@@ -104,6 +104,9 @@ class ConsumerMetrics:
     rebalances: int = 0
     partitions_revoked: int = 0
     heartbeats: int = 0
+    #: Heartbeats and commits the group coordinator rejected as stale;
+    #: each is recovered by the next rebalance, so it is counted, not raised.
+    coordinator_errors: int = 0
     poll_latencies: Deque[float] = field(
         default_factory=lambda: deque(maxlen=METRICS_WINDOW)
     )
@@ -159,6 +162,9 @@ class FabricConsumer:
         # ``on_partitions_assigned`` right after new partitions arrive.
         self._on_partitions_revoked = on_partitions_revoked
         self._on_partitions_assigned = on_partitions_assigned
+        # First listener exception of the rebalance in progress; re-raised
+        # once the new assignment is fully installed.
+        self._listener_error: Optional[Exception] = None
         self.metrics = ConsumerMetrics()
         self._session: FetchSession = cluster.fetch_session(principal=principal)
         self._metadata_epoch = cluster.metadata_epoch
@@ -378,8 +384,8 @@ class FabricConsumer:
         """Send a liveness heartbeat when the clock-paced interval elapses.
 
         Driven by the injectable clock, so tests advance a ``ManualClock``
-        instead of sleeping.  A stale-generation response is not an error
-        here: the rebalance it signals is adopted by ``_maybe_rejoin`` on
+        instead of sleeping.  A stale-generation response is counted, not
+        raised: the rebalance it signals is adopted by ``_maybe_rejoin`` on
         this or the next poll.
         """
         now = self._clock.now()
@@ -392,7 +398,7 @@ class FabricConsumer:
             )
             self.metrics.heartbeats += 1
         except IllegalGenerationError:
-            pass
+            self.metrics.coordinator_errors += 1
 
     def _maybe_rejoin(self) -> None:
         """Follow the group through a cooperative rebalance, if one is on.
@@ -404,7 +410,9 @@ class FabricConsumer:
         coordinator was waiting on), in which case the loop picks up the
         assign-phase generation immediately instead of on the next poll.
         An evicted member (missed heartbeats while the application was
-        busy) rejoins as a fresh member.
+        busy) rejoins as a fresh member.  Kafka's listener contract: an
+        exception raised by a rebalance listener does not stop the
+        rebalance; the first one is re-raised after it completes.
         """
         groups = self._cluster.groups
         group_id = self.config.group_id
@@ -427,6 +435,9 @@ class FabricConsumer:
                 # Evicted: everything was already released by the adopt
                 # above (our assignment read back empty), so rejoin.
                 current, assignment = self._join_group()
+        if self._listener_error is not None:
+            error, self._listener_error = self._listener_error, None
+            raise error
 
     def _adopt(self, generation: int, assignment: Sequence[TopicPartition]) -> None:
         """Install one generation's assignment, cooperatively.
@@ -464,12 +475,9 @@ class FabricConsumer:
                             )
                             self.metrics.commits += 1
                         except (CommitFailedError, IllegalGenerationError):
-                            pass  # best effort; the new owner re-reads
-                if self._on_partitions_revoked is not None:
-                    try:
-                        self._on_partitions_revoked(list(revoked))
-                    except Exception:
-                        pass  # listeners must not wedge the rebalance
+                            # Best effort; the new owner re-reads.
+                            self.metrics.coordinator_errors += 1
+                self._call_listener(self._on_partitions_revoked, revoked)
                 for tp in revoked:
                     self._positions.pop(tp, None)
                 self.metrics.partitions_revoked += len(revoked)
@@ -480,11 +488,21 @@ class FabricConsumer:
             self._session.set_assignment(new)
             if revoked or added:
                 self.metrics.rebalances += 1
-            if added and self._on_partitions_assigned is not None:
-                try:
-                    self._on_partitions_assigned(list(added))
-                except Exception:
-                    pass
+            if added:
+                self._call_listener(self._on_partitions_assigned, added)
+
+    def _call_listener(
+        self, listener: Optional[RebalanceListener], partitions: List[TopicPartition]
+    ) -> None:
+        """Run a rebalance listener; keep its exception for ``_maybe_rejoin``
+        so a buggy listener cannot leave the assignment half installed."""
+        if listener is None:
+            return
+        try:
+            listener(list(partitions))
+        except Exception as exc:  # noqa: BLE001 - re-raised after the rebalance
+            if self._listener_error is None:
+                self._listener_error = exc
 
     def close(self) -> None:
         """Commit (if auto-commit) and leave the group."""
@@ -494,7 +512,8 @@ class FabricConsumer:
             try:
                 self.commit()
             except CommitFailedError:
-                pass
+                # Fenced by a newer generation: leave the group regardless.
+                self.metrics.coordinator_errors += 1
         # No partition list: a topic lookup could raise for a topic deleted
         # while this consumer was open, leaking the membership — the
         # coordinator falls back to its stored partition snapshot.

@@ -324,7 +324,6 @@ class ConsumerGroupCoordinator:
         self,
         group_id: str,
         partitions: Optional[Sequence[TopicPartition]] = None,
-        now: Optional[float] = None,
     ) -> List[str]:
         """Evict members whose heartbeat is older than their session timeout."""
         with self._lock:
@@ -333,9 +332,7 @@ class ConsumerGroupCoordinator:
                 return []
             if partitions is not None:
                 group.partitions = list(partitions)
-            return self._expire_locked(
-                group, now if now is not None else self.clock.now()
-            )
+            return self._expire_locked(group, self.clock.now())
 
     # ------------------------------------------------------------------ #
     # Assignment queries

@@ -122,7 +122,9 @@ class FabricProducer:
         self._cluster = cluster
         self._principal = principal
         self._partitioner = Partitioner()
-        self._clock: Clock = clock or SystemClock()
+        # The cluster's clock by default, like FabricConsumer: record
+        # timestamps, linger ages and retry backoff share its time base.
+        self._clock: Clock = clock or cluster.clock
         self._sleep = sleep_fn if sleep_fn is not None else self._clock.sleep
         self._lock = create_rlock("FabricProducer")
         # Serializes whole flush passes (background vs. foreground) so

@@ -24,7 +24,7 @@ from repro.fabric.topic import TopicConfig
 
 
 def enforce_time_retention(
-    log: PartitionLog, retention_seconds: float, now: Optional[float] = None
+    log: PartitionLog, retention_seconds: float, now: float
 ) -> int:
     """Delete records older than ``retention_seconds``; return count removed.
 
@@ -32,7 +32,6 @@ def enforce_time_retention(
     which binary-searches per-segment append-time bounds and scans only the
     boundary segment — no full-log copy is taken.
     """
-    now = now if now is not None else SystemClock().now()
     keep_from = log.offset_for_timestamp(now - retention_seconds)
     if keep_from is None:
         # Everything is older than the cutoff.

@@ -12,9 +12,10 @@ compatible with the Listing 1 trigger pattern
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
+
+from repro.common.clock import Clock, SystemClock
 
 _event_ids = itertools.count(1)
 
@@ -48,12 +49,12 @@ class FileSystemMonitor:
         filesystem_name: str,
         *,
         sink: Optional[Callable[[FileSystemEvent], None]] = None,
-        clock: Callable[[], float] = time.time,
+        clock: Optional[Clock] = None,
     ) -> None:
         self.filesystem_name = filesystem_name
         self._files: Dict[str, int] = {}
         self._sink = sink
-        self._clock = clock
+        self._clock: Clock = clock or SystemClock()
         self.events: List[FileSystemEvent] = []
 
     # ------------------------------------------------------------------ #
@@ -67,7 +68,7 @@ class FileSystemMonitor:
             path=path,
             size_bytes=size,
             filesystem=self.filesystem_name,
-            timestamp=self._clock(),
+            timestamp=self._clock.now(),
         )
         self.events.append(event)
         if self._sink is not None:

@@ -10,11 +10,12 @@ idle floor, and utilization follows the load the caller reports.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 import numpy as np
+
+from repro.common.clock import Clock, SystemClock
 
 
 @dataclass(frozen=True)
@@ -74,14 +75,14 @@ class ResourceUtilizationMonitor:
         *,
         num_cores: int = 96,
         sink: Optional[Callable[[dict], None]] = None,
-        clock: Callable[[], float] = time.time,
+        clock: Optional[Clock] = None,
         seed: int = 3,
     ) -> None:
         self.resource_name = resource_name
         self.num_cores = num_cores
         self.energy = EnergyMonitor()
         self._sink = sink
-        self._clock = clock
+        self._clock: Clock = clock or SystemClock()
         self._rng = np.random.default_rng(seed)
         self._running_tasks = 0
         self.samples: List[ResourceSample] = []
@@ -110,7 +111,7 @@ class ResourceUtilizationMonitor:
         energy = self.energy.accumulate(cpu, interval_seconds)
         sample = ResourceSample(
             resource=self.resource_name,
-            timestamp=self._clock(),
+            timestamp=self._clock.now(),
             cpu_percent=cpu * 100.0,
             memory_percent=float(np.clip(20.0 + 60.0 * cpu + self._rng.normal(0, 2), 0, 100)),
             power_watts=self.energy.power_at(cpu),

@@ -10,9 +10,10 @@ from them.
 from __future__ import annotations
 
 import itertools
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
+
+from repro.common.clock import Clock, SystemClock
 
 _task_ids = itertools.count(1)
 
@@ -41,17 +42,23 @@ class ComputeTask:
     function_name: str
     payload: Any
     estimated_seconds: float
+    submitted_at: float
     status: str = "PENDING"          # PENDING -> RUNNING -> COMPLETED | FAILED
     result: Any = None
     runtime_seconds: float = 0.0
     energy_joules: float = 0.0
-    submitted_at: float = field(default_factory=time.time)
 
 
 class ComputeService:
     """Registers endpoints, queues tasks and executes them on ``tick``."""
 
-    def __init__(self, *, on_task_complete: Optional[Callable[[ComputeTask], None]] = None) -> None:
+    def __init__(
+        self,
+        *,
+        on_task_complete: Optional[Callable[[ComputeTask], None]] = None,
+        clock: Optional[Clock] = None,
+    ) -> None:
+        self.clock: Clock = clock or SystemClock()
         self._endpoints: Dict[str, ComputeEndpoint] = {}
         self._tasks: Dict[str, ComputeTask] = {}
         self._queue: List[str] = []
@@ -92,6 +99,7 @@ class ComputeService:
             function_name=function_name,
             payload=payload,
             estimated_seconds=estimated_seconds,
+            submitted_at=self.clock.now(),
         )
         self._tasks[task.task_id] = task
         self._queue.append(task.task_id)

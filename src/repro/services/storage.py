@@ -10,10 +10,10 @@ epidemic data snapshots).
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from repro.common.clock import Clock, SystemClock
 from repro.fabric.record import StoredRecord
 
 
@@ -35,7 +35,8 @@ class StoredObject:
 class ObjectStore:
     """Versioned, bucketed blob storage."""
 
-    def __init__(self) -> None:
+    def __init__(self, *, clock: Optional[Clock] = None) -> None:
+        self.clock: Clock = clock or SystemClock()
         self._objects: Dict[str, Dict[str, List[StoredObject]]] = {}
 
     # ------------------------------------------------------------------ #
@@ -59,7 +60,7 @@ class ObjectStore:
             content_type = content_type or "application/octet-stream"
         obj = StoredObject(
             bucket=bucket, key=key, data=payload, content_type=content_type,
-            stored_at=time.time(),
+            stored_at=self.clock.now(),
         )
         self._objects[bucket].setdefault(key, []).append(obj)
         return obj

@@ -11,9 +11,10 @@ simple).
 from __future__ import annotations
 
 import itertools
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
+
+from repro.common.clock import Clock, SystemClock
 
 _task_ids = itertools.count(1)
 
@@ -28,8 +29,8 @@ class TransferTask:
     source_path: str
     destination_path: str
     size_bytes: int
+    submitted_at: float
     status: str = "ACTIVE"           # ACTIVE -> SUCCEEDED | FAILED
-    submitted_at: float = field(default_factory=time.time)
     completed_at: Optional[float] = None
     principal: Optional[str] = None
 
@@ -52,7 +53,9 @@ class TransferService:
         bandwidth_mbps: float = 10_000.0,
         auto_complete: bool = True,
         on_complete: Optional[Callable[[TransferTask], None]] = None,
+        clock: Optional[Clock] = None,
     ) -> None:
+        self.clock: Clock = clock or SystemClock()
         self.bandwidth_mbps = bandwidth_mbps
         self.auto_complete = auto_complete
         self.on_complete = on_complete
@@ -78,6 +81,7 @@ class TransferService:
             source_path=source_path,
             destination_path=destination_path or source_path,
             size_bytes=size_bytes,
+            submitted_at=self.clock.now(),
             principal=principal,
         )
         self._tasks[task.task_id] = task
@@ -101,11 +105,10 @@ class TransferService:
     def _complete(self, task: TransferTask) -> None:
         if task.source_path in self._failures:
             task.status = "FAILED"
-            task.completed_at = time.time()
             del self._failures[task.source_path]
         else:
             task.status = "SUCCEEDED"
-            task.completed_at = time.time()
+        task.completed_at = self.clock.now()
         if self.on_complete is not None:
             self.on_complete(task)
 

@@ -11,7 +11,7 @@ simulation share one definition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -76,25 +76,6 @@ class ThroughputMeasurement:
             return cls(events=events, start_time=0.0, end_time=1.0)
         starts, ends = zip(*windows)
         return cls(events=events, start_time=min(starts), end_time=max(ends))
-
-
-class LatencyRecorder:
-    """Accumulates latency samples cheaply (list append, numpy at the end)."""
-
-    def __init__(self) -> None:
-        self._samples: List[float] = []
-
-    def record(self, latency_ms: float) -> None:
-        self._samples.append(latency_ms)
-
-    def extend(self, latencies_ms: Iterable[float]) -> None:
-        self._samples.extend(latencies_ms)
-
-    def stats(self) -> LatencyStats:
-        return LatencyStats.from_samples(self._samples)
-
-    def __len__(self) -> int:
-        return len(self._samples)
 
 
 def format_events_per_second(value: float) -> str:

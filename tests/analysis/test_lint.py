@@ -1,22 +1,15 @@
 """fabric-san static half: the concurrency/clock lint.
 
-Fixture snippets are linted in memory via :func:`lint_source`; the
-baseline ratchet and the CLI are exercised against a tmp_path tree.
+Fixture snippets are linted in memory via :func:`lint_source`; the CLI
+is exercised against a tmp_path tree.
 """
 
-import json
 import textwrap
 
 import pytest
 
 from repro.analysis import lint
-from repro.analysis.lint import (
-    apply_baseline,
-    lint_source,
-    load_baseline,
-    violation_counts,
-    write_baseline,
-)
+from repro.analysis.lint import lint_source
 
 
 def run(source, path="src/repro/fabric/example.py"):
@@ -297,67 +290,6 @@ class TestSuppression:
 
 
 # --------------------------------------------------------------------- #
-# Baseline ratchet
-# --------------------------------------------------------------------- #
-class TestBaseline:
-    def test_covered_violations_are_baselined(self):
-        violations = run("""
-            import time
-
-            def a():
-                return time.time()
-
-            def b():
-                return time.time()
-        """)
-        baseline = violation_counts(violations)
-        fresh, stale = apply_baseline(violations, baseline)
-        assert fresh == [] and stale == {}
-
-    def test_new_violation_not_covered(self):
-        one = run("""
-            import time
-
-            def a():
-                return time.time()
-        """)
-        two = one + run("""
-            import time
-
-            def b():
-                time.sleep(1)
-        """)
-        fresh, stale = apply_baseline(two, violation_counts(one))
-        assert [v.rule for v in fresh] == ["RAW-CLOCK"]
-        assert "time.sleep" in fresh[0].message
-        assert stale == {}
-
-    def test_fixed_debt_makes_baseline_stale(self):
-        violations = run("""
-            import time
-
-            def a():
-                return time.time()
-        """)
-        baseline = violation_counts(violations)
-        fresh, stale = apply_baseline([], baseline)
-        assert fresh == []
-        assert stale == baseline
-
-    def test_roundtrip(self, tmp_path):
-        counts = {"src/x.py::RAW-CLOCK::msg": 2}
-        path = tmp_path / "baseline.json"
-        write_baseline(path, counts)
-        assert load_baseline(path) == counts
-
-    def test_malformed_baseline_rejected(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps({"key": -1}))
-        with pytest.raises(ValueError):
-            load_baseline(path)
-
-
-# --------------------------------------------------------------------- #
 # CLI
 # --------------------------------------------------------------------- #
 DIRTY = textwrap.dedent("""
@@ -388,52 +320,20 @@ class TestCli:
         out = capsys.readouterr().out
         assert "RAW-CLOCK" in out and "mod.py" in out
 
-    def test_baselined_findings_exit_zero(self, tmp_path, capsys, monkeypatch):
+    def test_findings_cannot_be_waived_by_flag(self, tmp_path, monkeypatch):
+        """Any finding fails the run; no option turns it into a pass."""
         monkeypatch.chdir(tmp_path)
         (tmp_path / "mod.py").write_text(DIRTY)
-        assert lint.main(["mod.py", "--update-baseline"]) == 0
-        assert lint.main(["mod.py"]) == 0
-        assert "1 baselined" in capsys.readouterr().out
-
-    def test_stale_baseline_exit_one(self, tmp_path, capsys, monkeypatch):
-        """The ratchet's teeth: fixing debt without shrinking the
-        baseline fails the run."""
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "mod.py").write_text(DIRTY)
-        assert lint.main(["mod.py", "--update-baseline"]) == 0
-        (tmp_path / "mod.py").write_text(CLEAN)
+        assert lint.main(["mod.py", "--update-baseline"]) == 2
         assert lint.main(["mod.py"]) == 1
-        assert "stale baseline" in capsys.readouterr().out
-
-    def test_update_refuses_growth(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "mod.py").write_text(CLEAN)
-        (tmp_path / "extra.py").write_text(CLEAN)
-        assert lint.main(["."]) == 0  # no baseline, no findings
-        assert lint.main([".", "--update-baseline"]) == 0
-        (tmp_path / "extra.py").write_text(DIRTY)
-        assert lint.main([".", "--update-baseline"]) == 1
-        assert "refusing to grow" in capsys.readouterr().err
-        # ...unless growth is an explicit, reviewed decision.
-        assert lint.main([".", "--update-baseline", "--allow-growth"]) == 0
-        assert lint.main(["."]) == 0
-
-    def test_no_baseline_flag_reports_everything(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "mod.py").write_text(DIRTY)
-        assert lint.main(["mod.py", "--update-baseline"]) == 0
-        assert lint.main(["mod.py", "--no-baseline"]) == 1
 
     def test_missing_path_usage_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         assert lint.main(["nope.txt"]) == 2
 
-    def test_repo_tree_is_clean_against_committed_baseline(self, repo_root):
+    def test_repo_tree_is_clean(self, repo_root):
         """The acceptance gate CI runs: ``python -m repro.analysis.lint
-        src/`` from the repo root must pass with the committed
-        baseline."""
+        src/`` from the repo root must report zero findings."""
         import os
         import subprocess
         import sys

@@ -12,6 +12,7 @@ from repro.apps.workflow import (
     WorkflowEngine,
     run_monitoring_overhead_experiment,
 )
+from repro.common.clock import ManualClock
 from repro.core import OctopusDeployment
 
 
@@ -36,18 +37,21 @@ class TestSelfDrivingLab:
     def test_status_and_throughput_views(self, client):
         lab = SelfDrivingLab(client)
         lab.run_experiment("exp-1", "robot-arm-1")
-        lab.record_action("exp-2", "xrd", "designed", timestamp=100.0)
-        lab.record_action("exp-2", "xrd", "queued", timestamp=200.0)
+        lab.record_action("exp-2", "xrd", "designed")
+        lab.record_action("exp-2", "xrd", "queued")
         status = lab.experiment_status()
         assert status["exp-1"] == "completed"
         assert status["exp-2"] == "queued"
         assert lab.throughput_summary() == {"robot-arm-1": 1}
 
-    def test_stalled_experiment_detection(self, client):
-        lab = SelfDrivingLab(client)
-        lab.record_action("stuck", "robot", "running_instrument", timestamp=1000.0)
+    def test_stalled_experiment_detection(self):
+        clock = ManualClock(1000.0)
+        deployment = OctopusDeployment.create(clock=clock)
+        lab = SelfDrivingLab(deployment.client("app-owner", "anl.gov"))
+        lab.record_action("stuck", "robot", "running_instrument")
+        clock.advance(7200.0)
         lab.run_experiment("fine", "robot")
-        stalled = lab.detect_stalled(now=1000.0 + 7200.0, timeout_seconds=3600.0)
+        stalled = lab.detect_stalled(timeout_seconds=3600.0)
         assert stalled == ["stuck"]
 
     def test_live_monitor_sees_only_new_events(self, client):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.common.clock import ManualClock
 from repro.monitoring.aggregator import LocalAggregator
 from repro.monitoring.fsmon import FileSystemMonitor
 from repro.monitoring.resources import EnergyMonitor, ResourceUtilizationMonitor
@@ -155,6 +156,15 @@ class TestTransferService:
         service = TransferService(bandwidth_mbps=8000)
         assert service.transfer_time_seconds(10**9) == pytest.approx(1.0)
 
+    def test_times_come_from_the_injected_clock(self):
+        clock = ManualClock(100.0)
+        service = TransferService(auto_complete=False, clock=clock)
+        task = service.submit(source_endpoint="a", destination_endpoint="b",
+                              source_path="/x")
+        clock.advance(5.0)
+        service.advance()
+        assert (task.submitted_at, task.completed_at) == (100.0, 105.0)
+
 
 class TestComputeService:
     def test_submit_and_drain(self):
@@ -197,6 +207,15 @@ class TestComputeService:
         compute.drain()
         assert len(seen) == 1
 
+    def test_submitted_at_comes_from_the_injected_clock(self):
+        clock = ManualClock(100.0)
+        compute = ComputeService(clock=clock)
+        compute.register_endpoint("e")
+        first = compute.submit("e", "f")
+        clock.advance(2.5)
+        second = compute.submit("e", "f")
+        assert (first.submitted_at, second.submitted_at) == (100.0, 102.5)
+
 
 class TestObjectStore:
     def test_put_get_json_and_versions(self):
@@ -209,6 +228,14 @@ class TestObjectStore:
     def test_get_missing_raises(self):
         with pytest.raises(KeyError):
             ObjectStore().get("b", "k")
+
+    def test_stored_at_comes_from_the_injected_clock(self):
+        clock = ManualClock(100.0)
+        store = ObjectStore(clock=clock)
+        store.put("b", "k", "v1")
+        clock.advance(7.0)
+        store.put("b", "k", "v2")
+        assert store.get("b", "k").stored_at == 107.0
 
     def test_list_with_prefix_and_delete(self):
         store = ObjectStore()

@@ -10,6 +10,7 @@ from repro.auth.oauth import (
     InvalidTokenError,
     Scope,
 )
+from repro.common.clock import ManualClock
 
 
 @pytest.fixture
@@ -87,11 +88,16 @@ class TestLoginFlow:
         with pytest.raises(InsufficientScopeError):
             auth.validate(token.token, required_scope="octopus:triggers")
 
-    def test_expired_token_rejected(self, auth):
+    def test_expired_token_rejected(self):
+        clock = ManualClock(1000.0)
+        auth = AuthorizationServer(clock=clock)
+        auth.register_resource_server("octopus", ["all"])
         token = auth.login("alice", "uchicago.edu", ["octopus:all"], lifetime=10.0)
-        assert auth.validate(token.token, now=token.issued_at + 5) is not None
+        clock.advance(5.0)
+        assert auth.validate(token.token) is not None
+        clock.advance(6.0)
         with pytest.raises(InvalidTokenError):
-            auth.validate(token.token, now=token.issued_at + 11)
+            auth.validate(token.token)
 
     def test_unknown_token_rejected(self, auth):
         with pytest.raises(InvalidTokenError):

@@ -33,11 +33,11 @@ class TestTokenStore:
 
     def test_token_freshness(self):
         store = TokenStore()
-        store.store_token("a", "octopus", "t", expires_at=time.time() + 1000)
-        assert store.token_is_fresh("a", "octopus")
-        store.store_token("a", "octopus", "t", expires_at=time.time() + 10)
-        assert not store.token_is_fresh("a", "octopus", margin_seconds=60)
-        assert not store.token_is_fresh("ghost", "octopus")
+        store.store_token("a", "octopus", "t", expires_at=1000.0 + 1000)
+        assert store.token_is_fresh("a", "octopus", now=1000.0)
+        store.store_token("a", "octopus", "t", expires_at=1000.0 + 10)
+        assert not store.token_is_fresh("a", "octopus", now=1000.0, margin_seconds=60)
+        assert not store.token_is_fresh("ghost", "octopus", now=1000.0)
 
     def test_replace_and_delete_token(self):
         store = TokenStore()
@@ -49,7 +49,9 @@ class TestTokenStore:
 
     def test_credentials_round_trip(self):
         store = TokenStore()
-        store.store_credentials("alice", {"access_key": "AK", "secret_key": "SK"})
+        store.store_credentials(
+            "alice", {"access_key": "AK", "secret_key": "SK"}, created_at=1000.0
+        )
         assert store.get_credentials("alice")["access_key"] == "AK"
         store.delete_credentials("alice")
         assert store.get_credentials("alice") is None

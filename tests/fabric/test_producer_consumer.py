@@ -374,6 +374,53 @@ class TestConsumer:
         for (topic, partition), offset in committed_by_c2.items():
             assert cluster.offsets.committed("reb", topic, partition) == offset
 
+    def test_revoke_listener_exception_surfaces_after_rebalance(self, cluster):
+        """Kafka's listener contract: a raising ``on_partitions_revoked``
+        does not stop the rebalance.  poll() re-raises it once the new
+        assignment is installed, and the next poll() carries on."""
+        producer = FabricProducer(cluster)
+        for partition in range(4):
+            producer.send_batch("events", list(range(3)), partition=partition)
+
+        class ListenerBug(Exception):
+            pass
+
+        def revoked(partitions):
+            raise ListenerBug("flush failed")
+
+        config = ConsumerConfig(group_id="buggy", enable_auto_commit=False)
+        c1 = FabricConsumer(cluster, ["events"], config, on_partitions_revoked=revoked)
+        before = set(c1.assignment())
+        c2 = FabricConsumer(cluster, ["events"], config)
+        with pytest.raises(ListenerBug):
+            c1.poll()
+        retained = set(c1.assignment())
+        assert retained < before and len(retained) == 2
+        assert c1.generation == cluster.groups.generation("buggy")
+        assert c1.metrics.partitions_revoked == 2 and c1.metrics.rebalances == 2
+        # The revocation was acknowledged, so c2 takes the freed half...
+        c2.poll()
+        assert set(c2.assignment()) == before - retained
+        # ...and c1's next poll serves its retained partitions.
+        assert set(c1.poll()) == retained
+
+    def test_assign_listener_exception_surfaces_after_rebalance(self, cluster):
+        class ListenerBug(Exception):
+            pass
+
+        def assigned(partitions):
+            raise ListenerBug("cache warm-up failed")
+
+        config = ConsumerConfig(group_id="buggy", enable_auto_commit=False)
+        c1 = FabricConsumer(cluster, ["events"], config)
+        c2 = FabricConsumer(cluster, ["events"], config, on_partitions_assigned=assigned)
+        c1.poll()  # acknowledges the revocation; c2's partitions are freed
+        with pytest.raises(ListenerBug):
+            c2.poll()
+        assert len(c2.assignment()) == 2
+        assert set(c2.assignment()).isdisjoint(c1.assignment())
+        assert c2.poll() == {}  # nothing produced; the poll itself succeeds
+
     def test_closed_consumer_rejects_poll(self, cluster):
         consumer = FabricConsumer(cluster, ["events"], ConsumerConfig(group_id="x"))
         consumer.close()
@@ -466,3 +513,64 @@ class TestConsumerLiveness:
         a1, a2 = set(c1.assignment()), set(c2.assignment())
         assert a1.isdisjoint(a2)
         assert a1 | a2 == set(cluster.partitions_for("events"))
+
+
+class TestCoordinatorErrors:
+    """Stale-generation rejections from the group coordinator are counted
+    in ``ConsumerMetrics.coordinator_errors`` and recovered, never raised."""
+
+    def make_cluster(self):
+        clock = ManualClock(100.0)
+        cluster = FabricCluster(num_brokers=1, clock=clock)
+        cluster.admin().create_topic("events", TopicConfig(num_partitions=4))
+        FabricProducer(cluster).send_batch("events", list(range(8)))
+        return clock, cluster
+
+    def test_fenced_heartbeat_is_counted(self):
+        clock, cluster = self.make_cluster()
+        config = ConsumerConfig(group_id="g", enable_auto_commit=False)
+        c1 = FabricConsumer(cluster, ["events"], config)
+        FabricConsumer(cluster, ["events"], config)  # fences c1's generation
+        clock.advance(config.heartbeat_interval_seconds)
+        c1._maybe_heartbeat()
+        assert c1.metrics.coordinator_errors == 1
+        assert c1.metrics.heartbeats == 0
+        # The next poll adopts the new generation; its heartbeat is accepted.
+        clock.advance(config.heartbeat_interval_seconds)
+        c1.poll()
+        assert c1.metrics.coordinator_errors == 1
+        assert c1.metrics.heartbeats == 1
+
+    def test_fenced_commit_on_revoke_is_counted(self, monkeypatch):
+        clock, cluster = self.make_cluster()
+        c1 = FabricConsumer(cluster, ["events"], ConsumerConfig(group_id="g"))
+        while c1.poll_flat():
+            pass
+        FabricConsumer(cluster, ["events"], ConsumerConfig(group_id="g"))
+        real_commit = cluster.commit_group
+
+        def racing_commit(*args, **kwargs):
+            # Another member joins between c1's snapshot of the revoke
+            # generation and its commit-on-revoke, fencing that commit.
+            monkeypatch.setattr(cluster, "commit_group", real_commit)
+            cluster.groups.join("g", "racer", ["events"], cluster.partitions_for("events"))
+            return real_commit(*args, **kwargs)
+
+        monkeypatch.setattr(cluster, "commit_group", racing_commit)
+        before = set(c1.assignment())
+        c1.poll()
+        assert c1.metrics.coordinator_errors == 1
+        revoked = before - set(c1.assignment())
+        assert revoked
+        # Nothing was committed for them: their next owner re-reads.
+        for topic, partition in revoked:
+            assert cluster.offsets.committed("g", topic, partition) is None
+
+    def test_fenced_commit_in_close_is_counted_and_member_leaves(self):
+        clock, cluster = self.make_cluster()
+        c1 = FabricConsumer(cluster, ["events"], ConsumerConfig(group_id="g"))
+        c1.poll_flat()
+        FabricConsumer(cluster, ["events"], ConsumerConfig(group_id="g"))
+        c1.close()
+        assert c1.metrics.coordinator_errors == 1
+        assert c1.member_id not in cluster.groups.members("g")

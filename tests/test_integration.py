@@ -3,6 +3,8 @@ plus failure-injection scenarios spanning several components."""
 
 import pytest
 
+from repro.auth.oauth import InvalidTokenError
+from repro.common.clock import ManualClock
 from repro.core import OctopusDeployment
 from repro.faas.function import FunctionDefinition
 from repro.fabric.consumer import ConsumerConfig
@@ -162,3 +164,93 @@ class TestFailureInjection:
         deployment.cluster.admin().fail_broker(1)
         assert deployment.metadata.topic_owner("metadata-check") == "owner@anl.gov"
         assert "metadata-check" in user.list_topics()
+
+
+class TestOneClock:
+    """A deployment built on one ``ManualClock`` stamps everything with it."""
+
+    @staticmethod
+    def run_steps():
+        """Login, create a key, register a topic and a trigger, produce 50
+        events, run the triggers; return the clock, the deployment, the
+        user client and every timestamp the stack recorded."""
+        clock = ManualClock(1_000.0)
+        deployment = OctopusDeployment.create(clock=clock)
+        invoked_at = []
+        user = deployment.client("pi", "uchicago.edu")
+        clock.advance(1.0)
+        user.create_key()
+        user.register_topic("readings", {"num_partitions": 2})
+        deployment.triggers.register_function(FunctionDefinition(
+            name="record-invocation",
+            handler=lambda event, context: invoked_at.append(context.invoked_at),
+        ))
+        user.create_trigger("readings", "record-invocation", batch_size=10)
+        producer = user.producer()
+        for index in range(50):
+            clock.advance(0.25)
+            producer.send("readings", {"index": index}, key=str(index))
+        clock.advance(1.0)
+        deployment.run_triggers()
+
+        token = deployment.auth.introspect(user.login_manager.get_token())
+        lifetime = deployment.auth.default_token_lifetime
+        stamps = {
+            "token": [token["iat"], token["exp"] - lifetime],
+            "iam": [
+                key.created_at
+                for principal in deployment.iam.list_identities()
+                for key in deployment.iam.keys_for(principal)
+            ],
+            "znode": [],
+            "append": [],
+            "record": [],
+            "log": [
+                event.timestamp
+                for name in deployment.logs.groups()
+                for event in deployment.logs.group(name).events
+            ],
+            "invoked": invoked_at,
+        }
+        zookeeper = deployment.zookeeper
+        pending = ["/"]
+        while pending:
+            path = pending.pop()
+            stat = zookeeper.stat(path)
+            stamps["znode"] += [stat.created_at, stat.modified_at]
+            prefix = path.rstrip("/")
+            pending += [f"{prefix}/{child}" for child in zookeeper.children(path)]
+        for partition in range(2):
+            for record in deployment.cluster.fetch(
+                "readings", partition, 0, principal=user.principal
+            ):
+                stamps["append"].append(record.append_time)
+                stamps["record"].append(record.timestamp)
+        return clock, deployment, user, stamps
+
+    def test_every_recorded_time_comes_from_the_deployment_clock(self):
+        clock, deployment, user, stamps = self.run_steps()
+        assert len(stamps["append"]) == len(stamps["record"]) == 50
+        assert stamps["iam"] and stamps["log"] and stamps["invoked"]
+        assert len(stamps["znode"]) > 2
+        for kind, values in stamps.items():
+            for value in values:
+                assert 1_000.0 <= value <= clock.now(), (kind, value)
+
+        # (b) Expiry follows the same clock: the old token is refused and
+        # the login manager refreshes it.
+        old = user.login_manager.get_token()
+        clock.advance(deployment.auth.default_token_lifetime + 1)
+        with pytest.raises(InvalidTokenError):
+            deployment.auth.validate(old)
+        status, _ = deployment.service.handle("GET", "/topics", token=old)
+        assert status == 401
+        fresh = user.login_manager.get_token()
+        assert fresh != old
+        assert deployment.auth.validate(fresh).principal == "pi@uchicago.edu"
+        assert "readings" in user.list_topics()
+
+    def test_two_runs_record_the_same_times(self):
+        first = self.run_steps()[3]
+        second = self.run_steps()[3]
+        assert first == second
