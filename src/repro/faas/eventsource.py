@@ -35,6 +35,17 @@ MAX_BATCH_BYTES = 6 * 1024 * 1024
 
 _mapping_ids = itertools.count(1)
 
+#: Each top-level field of :meth:`EventSourceMapping._record_to_event`, read off a record.
+_EVENT_FIELDS = {
+    "topic": lambda record, topic, partition: topic,
+    "partition": lambda record, topic, partition: partition,
+    "offset": lambda record, topic, partition: record.offset,
+    "timestamp": lambda record, topic, partition: record.timestamp,
+    "key": lambda record, topic, partition: record.key,
+    "value": lambda record, topic, partition: record.value,
+    "headers": lambda record, topic, partition: dict(record.record.headers),
+}
+
 
 @dataclass(frozen=True)
 class EventSourceConfig:
@@ -251,26 +262,30 @@ class EventSourceMapping:
         *failed* invocation — the executor has already exhausted its
         internal retries by then — is committed past and discarded
         (counted in ``failed_invocations``), Lambda's no-DLQ on-failure
-        policy, so one poisoned batch cannot wedge the partition.  Each
-        commit rides the batched :meth:`FabricCluster.commit_group` path:
-        one generation check and one offset-store lock per poller.
+        policy, so one poisoned batch cannot wedge the partition.  A record
+        is matched on the fields its filter names; only a match is shaped.
         """
         if not self._enabled:
             return []
         results: List[InvocationResult] = []
+        readers = [(name, _EVENT_FIELDS[name])
+                   for name in self.pattern.fields if name in _EVENT_FIELDS]
         for consumer in list(self._consumers):
             batches = consumer.poll(max_records=self.config.batch_size)
             self.stats.polls += 1
             matched_events: List[dict] = []
             for (topic, partition), records in batches.items():
+                matched = []
                 for record in records:
-                    self.stats.records_read += 1
-                    event = self._record_to_event(record, topic, partition)
-                    if self.pattern.matches(event):
-                        self.stats.records_matched += 1
-                        matched_events.append(event)
-                    else:
-                        self.stats.records_filtered_out += 1
+                    fields = {}
+                    for name, read in readers:
+                        fields[name] = read(record, topic, partition)
+                    if self.pattern.matches(fields):
+                        matched.append(self._record_to_event(record, topic, partition))
+                self.stats.records_read += len(records)
+                self.stats.records_matched += len(matched)
+                self.stats.records_filtered_out += len(records) - len(matched)
+                matched_events += matched
             if matched_events:
                 payload = {
                     "eventSource": "octopus:fabric",

@@ -14,7 +14,7 @@ import threading
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.common.clock import Clock, SystemClock
 from repro.faas.function import FunctionDefinition, FunctionRegistry, InvocationContext
@@ -119,20 +119,16 @@ class LambdaExecutor:
         finally:
             self._release_slot(function_name)
 
-    def invoke_batch(self, function_name: str, events: List[dict]) -> List[InvocationResult]:
-        return [self.invoke(function_name, event) for event in events]
-
     # ------------------------------------------------------------------ #
     def _invoke_with_retries(
         self, definition: FunctionDefinition, event: dict
     ) -> InvocationResult:
         invocation_id = f"inv-{next(self._invocation_ids):08d}"
         group = self.logs.group(f"/aws/lambda/{definition.name}")
+        response: Any = None
         last_error: Optional[str] = None
-        attempts = 0
         total_duration = 0.0
         for attempt in range(1, self.max_retries + 2):
-            attempts = attempt
             context = InvocationContext(
                 function_name=definition.name,
                 invocation_id=invocation_id,
@@ -164,38 +160,29 @@ class LambdaExecutor:
                 if attempt <= self.max_retries:
                     self.stats.retries += 1
                     continue
-                # Failed final attempts are billed too (Lambda semantics).
-                self.stats.total_billed_seconds += total_duration
-                return InvocationResult(
-                    function_name=definition.name,
-                    invocation_id=invocation_id,
-                    success=False,
-                    response=None,
-                    error=last_error,
-                    duration_seconds=total_duration,
-                    attempts=attempts,
-                    billed_duration_seconds=total_duration,
+            else:
+                duration = self._measured_duration(definition, started)
+                total_duration += duration
+                last_error = None
+                group.put(
+                    f"END RequestId: {invocation_id} duration={duration * 1000:.2f}ms",
+                    timestamp=self.clock.now(),
                 )
-            duration = self._measured_duration(definition, started)
-            total_duration += duration
-            group.put(
-                f"END RequestId: {invocation_id} duration={duration * 1000:.2f}ms",
-                timestamp=self.clock.now(),
-            )
-            self.logs.record_invocation(definition.name, duration, error=False)
-            self.stats.invocations += 1
-            self.stats.total_billed_seconds += total_duration
-            return InvocationResult(
-                function_name=definition.name,
-                invocation_id=invocation_id,
-                success=True,
-                response=response,
-                error=None,
-                duration_seconds=total_duration,
-                attempts=attempts,
-                billed_duration_seconds=total_duration,
-            )
-        raise AssertionError("unreachable")  # pragma: no cover
+                self.logs.record_invocation(definition.name, duration, error=False)
+                self.stats.invocations += 1
+            break
+        # Failed final attempts are billed too (Lambda semantics).
+        self.stats.total_billed_seconds += total_duration
+        return InvocationResult(
+            function_name=definition.name,
+            invocation_id=invocation_id,
+            success=last_error is None,
+            response=response,
+            error=last_error,
+            duration_seconds=total_duration,
+            attempts=attempt,
+            billed_duration_seconds=total_duration,
+        )
 
     @staticmethod
     def _measured_duration(definition: FunctionDefinition, started: float) -> float:

@@ -9,12 +9,18 @@ literal or a *content filter* such as ``{"prefix": ...}``,
 ``{"numeric": [">", 0, "<=", 100]}``, ``{"exists": true}`` or
 ``{"anything-but": [...]}``.  An event matches when every key in the
 pattern matches; keys absent from the pattern are unconstrained.
+
+A pattern is compiled once: :class:`EventPattern` validates all of it and
+raises every :class:`PatternError` at construction, so a malformed filter is
+refused when its trigger is registered.  Matching takes JSON-shaped events
+and never raises.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, List, Mapping, Sequence, Union
+import operator
+from typing import Any, Callable, List, Mapping, Sequence, Tuple, Union
 
 __all__ = ["EventPattern", "PatternError", "matches_pattern"]
 
@@ -23,117 +29,110 @@ class PatternError(ValueError):
     """The pattern is structurally invalid."""
 
 
-_NUMERIC_OPS = {
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-    "=": lambda a, b: a == b,
-}
+_NUMERIC_OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+                "=": operator.eq}
+
+#: The value a compiled test receives for a key absent from the event.
+_MISSING = object()
+
+#: A compiled test of one event value (``_MISSING`` included).
+Test = Callable[[Any], bool]
 
 
-def _match_content_filter(filter_spec: Mapping[str, Any], value: Any) -> bool:
-    """Evaluate one content filter against a value."""
-    if len(filter_spec) != 1:
-        raise PatternError(f"content filter must have exactly one key: {filter_spec!r}")
-    kind, arg = next(iter(filter_spec.items()))
-    if kind == "prefix":
-        return isinstance(value, str) and value.startswith(str(arg))
-    if kind == "suffix":
-        return isinstance(value, str) and value.endswith(str(arg))
-    if kind == "exists":
-        exists = value is not _MISSING
-        return exists if arg else not exists
-    if kind == "anything-but":
-        alternatives = arg if isinstance(arg, list) else [arg]
-        return value is not _MISSING and value not in alternatives
-    if kind == "numeric":
-        if value is _MISSING or not isinstance(value, (int, float)) or isinstance(value, bool):
+def _numeric(arg: Any) -> Test:
+    if not isinstance(arg, (list, tuple)) or not arg or len(arg) % 2:
+        raise PatternError(f"numeric filter needs op/operand pairs: {arg!r}")
+    bounds = []
+    for op, operand in zip(arg[0::2], arg[1::2]):
+        if not isinstance(op, str) or op not in _NUMERIC_OPS:
+            raise PatternError(f"unknown numeric operator {op!r}")
+        if not isinstance(operand, (int, float)):
+            raise PatternError(f"numeric operand must be a number: {operand!r}")
+        bounds.append((_NUMERIC_OPS[op], operand))
+
+    def numeric(value: Any) -> bool:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
             return False
-        if not isinstance(arg, Sequence) or len(arg) % 2 != 0 or not arg:
-            raise PatternError(f"numeric filter needs op/operand pairs: {arg!r}")
-        for op, operand in zip(arg[0::2], arg[1::2]):
-            if op not in _NUMERIC_OPS:
-                raise PatternError(f"unknown numeric operator {op!r}")
-            if not _NUMERIC_OPS[op](value, operand):
-                return False
-        return True
+        return all(compare(value, operand) for compare, operand in bounds)
+
+    return numeric
+
+
+def _content_filter(spec: Mapping[str, Any]) -> Test:
+    if len(spec) != 1:
+        raise PatternError(f"content filter must have exactly one key: {spec!r}")
+    ((kind, arg),) = spec.items()
+    if kind == "prefix":
+        prefix = str(arg)
+        return lambda value: isinstance(value, str) and value.startswith(prefix)
+    if kind == "suffix":
+        suffix = str(arg)
+        return lambda value: isinstance(value, str) and value.endswith(suffix)
     if kind == "equals-ignore-case":
-        return isinstance(value, str) and value.lower() == str(arg).lower()
+        folded = str(arg).lower()
+        return lambda value: isinstance(value, str) and value.lower() == folded
+    if kind == "exists":
+        wanted = bool(arg)
+        return lambda value: (value is not _MISSING) == wanted
+    if kind == "anything-but":
+        excluded = arg if isinstance(arg, list) else [arg]
+        return lambda value: value is not _MISSING and value not in excluded
+    if kind == "numeric":
+        return _numeric(arg)
     raise PatternError(f"unknown content filter {kind!r}")
 
 
-class _Missing:
-    """Sentinel for keys absent from the event."""
+def _leaf(alternatives: List[Any]) -> Test:
+    """Literals, then content filters; an event array matches if any element does."""
+    # Without literals unequal to themselves (NaN, never matched), ``in`` is
+    # ``==``; no literal equals ``_MISSING``.
+    literals = [alt for alt in alternatives if not isinstance(alt, Mapping) and alt == alt]
+    filters = [_content_filter(alt) for alt in alternatives if isinstance(alt, Mapping)]
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return "<missing>"
+    def leaf(value: Any) -> bool:
+        return value in literals or any(test(value) for test in filters)
 
+    match_value = leaf if filters else literals.__contains__
 
-_MISSING = _Missing()
+    def field(value: Any) -> bool:
+        if isinstance(value, list):
+            return any(map(match_value, value))
+        return match_value(value)
 
-
-def _match_leaf(alternatives: Sequence[Any], value: Any) -> bool:
-    """A leaf matches when any alternative literal/content filter matches."""
-    for alternative in alternatives:
-        if isinstance(alternative, Mapping):
-            if _match_content_filter(alternative, value):
-                return True
-        elif value is not _MISSING and value == alternative:
-            return True
-        elif alternative is None and value is None:
-            return True
-    return False
+    return field
 
 
-def _match_node(pattern: Mapping[str, Any], event: Any) -> bool:
+def _node(pattern: Mapping[str, Any]) -> Test:
+    """An object pattern ANDs its keys; anything but a dict is matched as ``{}``."""
+    tests = []
     for key, expected in pattern.items():
-        value = event.get(key, _MISSING) if isinstance(event, Mapping) else _MISSING
         if isinstance(expected, Mapping):
-            # Nested object pattern: descend.
-            if value is _MISSING or not isinstance(value, Mapping):
-                # An {"exists": false} filter nested deeper can still match a
-                # missing subtree; handle by descending with an empty dict.
-                if not _match_node(expected, {}):
-                    return False
-            elif not _match_node(expected, value):
-                return False
+            tests.append((key, _node(expected)))
         elif isinstance(expected, list):
-            if isinstance(value, list):
-                # Event arrays match when any element matches any alternative.
-                if not any(_match_leaf(expected, item) for item in value):
-                    return False
-            elif not _match_leaf(expected, value):
-                return False
+            tests.append((key, _leaf(expected)))
         else:
-            raise PatternError(
-                f"pattern values must be lists or nested objects, got {expected!r} for {key!r}"
-            )
-    return True
+            raise PatternError(f"pattern values must be lists or nested objects, "
+                               f"got {expected!r} for {key!r}")
+    empty = all(test(_MISSING) for _, test in tests)
+
+    def node(event: Any) -> bool:
+        if not isinstance(event, dict):
+            return empty
+        for key, test in tests:
+            if not test(event.get(key, _MISSING)):
+                return False
+        return True
+
+    return node
 
 
 def matches_pattern(pattern: Union[str, Mapping[str, Any], None], event: Mapping[str, Any]) -> bool:
-    """Return whether ``event`` satisfies ``pattern``.
-
-    ``pattern`` may be a dict, a JSON string, or ``None``/empty (matches
-    everything, i.e. an unfiltered trigger).
-    """
-    if pattern is None:
-        return True
-    if isinstance(pattern, str):
-        try:
-            pattern = json.loads(pattern)
-        except json.JSONDecodeError as exc:
-            raise PatternError(f"pattern is not valid JSON: {exc}") from exc
-    if not isinstance(pattern, Mapping):
-        raise PatternError("pattern must be a JSON object")
-    if not pattern:
-        return True
-    return _match_node(pattern, event)
+    """One-shot :meth:`EventPattern.matches`; ``None``/empty matches everything."""
+    return EventPattern(pattern).matches(event)
 
 
 class EventPattern:
-    """A compiled, reusable pattern with validation at construction time."""
+    """A pattern compiled once, with every error raised at construction."""
 
     def __init__(self, pattern: Union[str, Mapping[str, Any], None]) -> None:
         if isinstance(pattern, str):
@@ -144,17 +143,16 @@ class EventPattern:
         if pattern is not None and not isinstance(pattern, Mapping):
             raise PatternError("pattern must be a JSON object or None")
         self._pattern = dict(pattern) if pattern else None
-        # Validate eagerly against an empty event so malformed filters fail
-        # at trigger registration time, not on the first event.
-        if self._pattern is not None:
-            _match_node(self._pattern, {})
+        #: The top-level event fields the pattern reads.
+        self.fields: Tuple[str, ...] = tuple(self._pattern or ())
+        self._match = _node(self._pattern or {})
 
     @property
     def pattern(self) -> Union[Mapping[str, Any], None]:
         return self._pattern
 
     def matches(self, event: Mapping[str, Any]) -> bool:
-        return matches_pattern(self._pattern, event)
+        return self._match(event)
 
     def filter(self, events: Sequence[Mapping[str, Any]]) -> List[Mapping[str, Any]]:
         return [event for event in events if self.matches(event)]

@@ -8,6 +8,7 @@ from repro.coordination.zookeeper import ZooKeeperEnsemble
 from repro.core.errors import ValidationError
 from repro.core.triggers import TriggerManager, TriggerSpec
 from repro.faas.function import FunctionDefinition
+from repro.faas.patterns import EventPattern, PatternError
 from repro.fabric import FabricCluster, FabricProducer, TopicConfig
 
 
@@ -51,6 +52,34 @@ class TestUpdateTrigger:
         assert trigger.spec.batch_size == 7
         assert trigger.mapping.config.batch_size == 7
         assert not trigger.mapping.enabled
+
+
+#: Filters whose malformed part hid behind a missing value or a
+#: short-circuiting alternative, so they once passed registration.
+MALFORMED_FILTERS = {
+    "unknown-numeric-operator": {"value": {"n": [{"numeric": ["~", 5]}]}},
+    "unknown-filter-behind-exists": {"a": [{"exists": False}, {"regex": ".*"}]},
+    "odd-numeric-operands": {"n": [{"numeric": [">", 0, "<"]}]},
+}
+
+
+@pytest.mark.parametrize("pattern", MALFORMED_FILTERS.values(), ids=MALFORMED_FILTERS)
+class TestMalformedFilterRefused:
+    def test_pattern_raises(self, pattern):
+        with pytest.raises(PatternError):
+            EventPattern(pattern)
+
+    def test_spec_validation_raises(self, pattern):
+        spec = TriggerSpec(topic="t", function_name="fn", filter_pattern=pattern)
+        with pytest.raises(ValidationError):
+            spec.validate()
+
+    def test_update_raises_and_keeps_the_old_filter(self, manager, pattern):
+        trigger = manager.create_trigger("alice", TriggerSpec(topic="t", function_name="fn"))
+        with pytest.raises(ValidationError):
+            manager.update_trigger("alice", trigger.trigger_id, {"filter_pattern": pattern})
+        assert trigger.spec.filter_pattern is None
+        assert trigger.mapping.pattern.pattern is None
 
 
 class TestScalingAccountsInFlight:

@@ -1,10 +1,13 @@
 """Tests for the function registry, executor and event-source mappings."""
 
+import operator
+
 import pytest
 
 from repro.fabric import FabricCluster, FabricProducer, TopicConfig
 from repro.faas.eventsource import EventSourceConfig, EventSourceMapping
 from repro.faas.executor import LambdaExecutor
+from repro.faas.patterns import EventPattern
 from repro.faas.function import FunctionDefinition, FunctionRegistry
 from repro.faas.logs import LogService
 
@@ -424,3 +427,46 @@ class TestEventSourceMapping:
         results = mapping.poll_once()
         assert not results[0].success
         assert mapping.stats.failed_invocations == 1
+
+    @pytest.mark.parametrize("pattern", [
+        {"value": {"n": [{"numeric": [">", 0, "<=", 2]}, {"anything-but": [5]}]}},
+        {"value": {"n": [{"exists": False}], "tag": [{"prefix": "a"}, {"suffix": "Z"}]}},
+        {"value": {"tag": [{"equals-ignore-case": "AB"}, None, True, 1.0]}},
+        {"key": ["k1"], "partition": [0, 2], "headers": {"source": [{"exists": True}]}},
+        {"topic": ["fs-events"], "offset": [{"numeric": [">=", 1]}], "timestamp": [{"exists": True}]},
+        {"missing": {"deeper": [{"exists": False}]}},
+    ])
+    def test_valid_filter_never_raises_and_matches_the_full_event(self, cluster, pattern):
+        """The poller matches on the fields the filter names; its verdict
+        must equal the filter's verdict on the full Lambda event, and no
+        value shape may make a valid filter raise out of ``poll_once``."""
+        received = []
+        mapping, _ = self.make_mapping(
+            cluster,
+            lambda event, ctx: received.extend(event["records"]),
+            EventSourceConfig(batch_size=7, filter_pattern=pattern),
+        )
+        producer = FabricProducer(cluster)
+        values = [
+            {"n": 1, "tag": "ab"}, {"n": 5, "tag": "aZ"}, {"n": True, "tag": ["x", "AB"]},
+            {"n": "1", "tag": None}, {"n": [0, 2], "tag": 1}, {"n": {"deep": 1}}, {},
+            "not-an-object", [1, 2], None, 2.5,
+        ]
+        for i, value in enumerate(values):
+            headers = {"source": "fs"} if i % 2 else {}
+            producer.send("fs-events", value, key=f"k{i % 3}", headers=headers)
+        mapping.drain()
+        assert mapping.lag() == 0
+        for tp in cluster.partitions_for("fs-events"):
+            assert cluster.offsets.committed(mapping.consumer_group, *tp) == cluster.end_offset(*tp)
+        every = [
+            EventSourceMapping._record_to_event(record, topic, partition)
+            for topic, partition in cluster.partitions_for("fs-events")
+            for record in cluster.fetch(topic, partition, 0, max_records=100)
+        ]
+        key = operator.itemgetter("partition", "offset")
+        expected = [event for event in every if EventPattern(pattern).matches(event)]
+        assert sorted(received, key=key) == sorted(expected, key=key)
+        assert mapping.stats.records_read == len(values)
+        assert mapping.stats.records_matched == len(expected)
+        assert mapping.stats.records_filtered_out == len(values) - len(expected)
