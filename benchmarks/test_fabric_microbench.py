@@ -9,7 +9,11 @@ each batched path makes, against the per-record or per-partition path
 it replaces.
 """
 
+import gc
 import hashlib
+import importlib.util
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +34,13 @@ from repro.fabric import partitioner, serde
 from repro.fabric.mirrormaker import MirrorMaker
 from repro.fabric.record import PackedRecordBatch
 from repro.fabric.replication import ReplicationManager
+
+# The benchmark's own event generator, loaded by path: ``perf`` need not be
+# importable from wherever the suite runs.
+_EVENTS = Path(__file__).resolve().parent.parent / "perf" / "events.py"
+_spec = importlib.util.spec_from_file_location("perf_events", _EVENTS)
+perf_events = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(perf_events)
 
 NUM_EVENTS = 2000
 
@@ -109,8 +120,9 @@ def test_batched_produce_beats_per_record_3x(calls):
 
 
 def test_producer_pays_for_each_record_once(calls):
-    """``buffer`` + ``flush`` of 32 B records encodes each value once,
-    sizes each record once, hashes each distinct key once, and builds the
+    """``buffer`` + ``flush`` of 32 B records encodes no value (sizing is
+    arithmetic and an in-process batch is never sealed to bytes), sizes
+    each record once, hashes each distinct key once, and builds the
     produce metadata from the stamped batch's columns."""
     num_keys = 16
     cluster = FabricCluster(num_brokers=1)
@@ -129,11 +141,40 @@ def test_producer_pays_for_each_record_once(calls):
         producer.buffer("bench-produce", value, key=f"k{i % num_keys:02d}")
     metadata = producer.flush()
     assert len(metadata) == NUM_EVENTS
-    assert calls["serde._json_encode"] == NUM_EVENTS
+    assert calls["serde._json_encode"] == 0
     assert calls["hashlib.md5"] <= num_keys
     assert calls["EventRecord.size_bytes"] <= NUM_EVENTS + 1
     assert calls["PackedRecordBatch.size_at"] == 0
     assert producer.metrics.bytes_sent == sum(md.serialized_size for md in metadata)
+
+
+def test_in_process_record_retains_no_bytes():
+    """2 000 in-process 1 KB sends at RF 3 leave each logged record holding
+    its fields, its size and its share of the log's columns, and no encoded
+    body: ≤ 300 B retained per record (keeping the JSON body costs ≈ 1 480)."""
+    events = perf_events.EventFactory(seed=1, size=1024).events(0, NUM_EVENTS, partitions=4)
+    cluster = FabricCluster(num_brokers=3)
+    cluster.admin().create_topic(
+        "bench-memory", TopicConfig(num_partitions=4, replication_factor=3)
+    )
+    producer = FabricProducer(cluster, ProducerConfig(acks="all"))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for key, value in events:
+            try:
+                producer.buffer("bench-memory", value, key=key)
+            except BufferError:
+                producer.flush()
+                producer.buffer("bench-memory", value, key=key)
+        producer.flush()
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert sum(cluster.end_offsets("bench-memory").values()) == NUM_EVENTS
+    assert retained / NUM_EVENTS <= 300, f"{retained / NUM_EVENTS:.1f} B per record"
 
 
 def test_commit_group_beats_per_partition_commits_2x(calls):

@@ -190,10 +190,6 @@ class Broker:
         with self._lock:
             return (topic, partition) in self._replicas
 
-    def hosted_partitions(self) -> Iterable[Tuple[str, int]]:
-        with self._lock:
-            return tuple(self._replicas.keys())
-
     # ------------------------------------------------------------------ #
     # Data plane
     # ------------------------------------------------------------------ #

@@ -309,7 +309,6 @@ class PartitionLog:
         self._clock: Clock = clock if clock is not None else SystemClock()
         self._lock = create_rlock(f"PartitionLog[{topic}-{partition}]")
         self._total_appended = 0  #: guarded_by _lock
-        self._total_bytes = 0  #: guarded_by _lock
         self._last_append_time = 0.0  #: guarded_by _lock
         #: Min fully-ISR-replicated offset.  ``None`` marks an *unmanaged*
         #: log (no replication manager advancing it): the high watermark
@@ -419,11 +418,6 @@ class PartitionLog:
         """Number of records appended over the log's lifetime."""
         with self._lock:
             return self._total_appended
-
-    @property
-    def total_bytes_appended(self) -> int:
-        with self._lock:
-            return self._total_bytes
 
     # ------------------------------------------------------------------ #
     # Segment lifecycle (callers hold the write lock)
@@ -606,7 +600,6 @@ class PartitionLog:
         self._place_chunk(sub)
         self._next_offset = sub.end_offset
         self._total_appended += stop - start
-        self._total_bytes += sub.size_bytes
         if sub.max_append_time > self._last_append_time:
             self._last_append_time = sub.max_append_time
 

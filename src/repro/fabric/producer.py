@@ -26,7 +26,7 @@ from repro.common.sync import create_lock, create_rlock
 from repro.fabric.cluster import FabricCluster
 from repro.fabric.errors import FabricError
 from repro.fabric.partitioner import Partitioner
-from repro.fabric.record import EventRecord, RecordBatch, RecordMetadata
+from repro.fabric.record import NO_HEADERS, EventRecord, RecordBatch, RecordMetadata
 
 #: Latency samples retained (matches the consumer's bounded window).
 METRICS_WINDOW = 2048
@@ -183,7 +183,7 @@ class FabricProducer:
         record = EventRecord(
             value=value,
             key=key,
-            headers=dict(headers or {}),
+            headers=dict(headers) if headers else NO_HEADERS,
             timestamp=timestamp if timestamp is not None else now,
         )
         target = self._select_partition(topic, key, partition, now)

@@ -73,6 +73,7 @@ import operator
 import struct
 import threading
 import time
+import types
 import zlib
 from dataclasses import dataclass, field
 from typing import (
@@ -93,8 +94,12 @@ from repro.fabric.serde import serialize, serialize_with_size, serialized_size
 #: Process-local record ids, numbered without a Python-level call.
 _next_record_id = itertools.count().__next__
 
+#: The headers of every record built without any: one read-only mapping
+#: shared by all of them instead of an empty dict each.
+NO_HEADERS: Mapping[str, str] = types.MappingProxyType({})
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class EventRecord:
     """A single event published to (or fetched from) the fabric.
 
@@ -114,43 +119,42 @@ class EventRecord:
 
     value: Any
     key: Any = None
-    headers: Mapping[str, str] = field(default_factory=dict)
+    # dataclass takes an unhashable default only from a factory; this one
+    # hands out the shared NO_HEADERS without a Python-level call.
+    headers: Mapping[str, str] = field(default_factory=itertools.repeat(NO_HEADERS).__next__)
     # Record construction has no clock to inject at this API depth; the
     # producer passes Clock-derived timestamps explicitly, so this default
     # only covers hand-built records.
     timestamp: float = field(default_factory=time.time)  # lint: ignore[RAW-CLOCK]
     record_id: int = field(default_factory=_next_record_id)
+    #: ``size_bytes()`` once computed; 0 until then (a size is never 0).
+    _size: int = field(default=0, init=False, repr=False, compare=False)
 
     def size_bytes(self) -> int:
         """Approximate on-the-wire size of the record in bytes.
 
-        Computed once and cached: the produce hot path consults the size
-        repeatedly (batch accounting, broker quota, replication budget) and
-        re-serializing the value each time dominated the batched profile.
-        When sizing a JSON value forces an encode, the encoded bytes are
-        cached alongside the size so the wire packer reuses them — one
-        encode pass covers both (see :func:`serialize_with_size`).
+        Computed once and kept: the produce hot path consults the size
+        repeatedly (batch accounting, broker quota, replication budget).
+        Only the number is kept — sizing encodes nothing for most JSON
+        values (see :func:`repro.fabric.serde.serialize_with_size`), and
+        the wire packer encodes the value itself if the record is sealed.
         """
-        # Caches go straight into the instance dict, as cached_property
-        # does: a frozen record's fields are read-only, its derived values not.
-        state = self.__dict__
-        cached = state.get("_cached_size")
-        if cached is not None:
-            return cached
-        encoded_value, size = serialize_with_size(self.value)
-        if encoded_value is not None:
-            state["_cached_value_body"] = encoded_value
+        size = self._size
+        if size:
+            return size
+        # Fixed per-record framing overhead (offset, length, crc, attrs).
+        size = 24 + serialize_with_size(self.value)[1]
         if self.key is not None:
-            encoded_key, key_size = serialize_with_size(self.key)
-            size += key_size
-            if encoded_key is not None:
-                state["_cached_key_body"] = encoded_key
+            size += serialize_with_size(self.key)[1]
         for name, val in self.headers.items():
             size += len(name.encode("utf-8")) + serialized_size(val)
-        # Fixed per-record framing overhead (offset, length, crc, attrs).
-        size += 24
-        state["_cached_size"] = size
+        object.__setattr__(self, "_size", size)
         return size
+
+    def __reduce__(self):
+        # Copies and pickles carry headers of their own: NO_HEADERS cannot be pickled.
+        state = (self.value, self.key, dict(self.headers), self.timestamp, self.record_id)
+        return EventRecord, state
 
     def with_headers(self, **headers: str) -> "EventRecord":
         """Return a copy of the record with additional headers merged in."""
@@ -374,17 +378,16 @@ _HEADER = struct.Struct(">BBBxIII")
 WIRE_HEADER_BYTES = _HEADER.size
 
 
-def _pack_frame(value: Any, pieces: list, cached_body: Optional[bytes] = None) -> None:
+def _pack_frame(value: Any, pieces: list) -> None:
+    """Append ``value``'s tagged frame to ``pieces``; a JSON value is
+    encoded here, the one encode it pays between produce and wire."""
     if value is None:
         pieces.append(b"\x00\x00\x00\x00\x00")
         return
     if isinstance(value, (bytes, bytearray)):
         tag, body = _TAG_BYTES, bytes(value)
     else:
-        # ``cached_body`` is the encode the sizing pass already paid for
-        # (see EventRecord.size_bytes): JSON values are serialized exactly
-        # once between produce and wire.
-        body = cached_body if cached_body is not None else serialize(value)
+        body = serialize(value)
         tag = _TAG_STR if isinstance(value, str) else _TAG_JSON
     pieces.append(_U8.pack(tag))
     pieces.append(_U32.pack(len(body)))
@@ -900,11 +903,6 @@ class PackedRecordBatch:
         self._ensure_sizes()
         return self._sizes
 
-    @property
-    def max_record_size(self) -> int:
-        self._ensure_sizes()
-        return self._max_size
-
     def offset_at(self, index: int) -> int:
         offsets = self._offsets
         return self.base_offset + index if offsets is None else offsets[index]
@@ -1015,7 +1013,7 @@ class PackedRecordBatch:
         value, cursor = _unpack_frame(payload, cursor)
         (header_count,) = _U16.unpack_from(payload, cursor)
         cursor += 2
-        headers = {}
+        headers = {} if header_count else NO_HEADERS
         for _ in range(header_count):
             (name_length,) = _U16.unpack_from(payload, cursor)
             cursor += 2
@@ -1033,8 +1031,8 @@ class PackedRecordBatch:
         wire body, decompressed after a forced CRC check (the one place a
         compressed batch inflates, so replication/mirroring that only
         forward bytes never reach it); or an encode of the record tuple —
-        deliberately lazy, reusing the encoded bodies the sizing pass
-        cached so a JSON value is serialized exactly once end to end."""
+        deliberately lazy, so only a batch that crosses a byte boundary
+        pays it, once per JSON value (records keep no encoded body)."""
         payload = self._payload
         if payload is not None:
             return payload
@@ -1050,10 +1048,9 @@ class PackedRecordBatch:
         total = 0
         for record in records:
             at = len(pieces)
-            cached = record.__dict__
             pieces.append(_TS.pack(record.timestamp))
-            _pack_frame(record.key, pieces, cached.get("_cached_key_body"))
-            _pack_frame(record.value, pieces, cached.get("_cached_value_body"))
+            _pack_frame(record.key, pieces)
+            _pack_frame(record.value, pieces)
             headers = record.headers
             pieces.append(_U16.pack(len(headers)))
             for name, value in headers.items():

@@ -495,12 +495,3 @@ class ReplicationManager:
                 self.elect_leader(assignment.topic, assignment.partition)
                 affected.append(assignment)
         return affected
-
-    def under_replicated_partitions(self) -> List[PartitionAssignment]:
-        """Partitions whose ISR is smaller than their replica set."""
-        out = []
-        for assignment in self.all_assignments():
-            self.replicate_from_leader(assignment.topic, assignment.partition)
-            if len(assignment.isr) < len(assignment.replicas):
-                out.append(assignment)
-        return out

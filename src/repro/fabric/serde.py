@@ -9,6 +9,8 @@ consistent size accounting and a canonical wire form.
 from __future__ import annotations
 
 import json
+import math
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 __all__ = [
@@ -59,35 +61,74 @@ def serialize(value: Any) -> bytes:
         raise SerdeError(f"value of type {type(value)!r} is not serializable") from exc
 
 
+#: What ``ensure_ascii`` JSON escapes in an ASCII string: the C0 controls,
+#: DEL, ``"`` and ``\``.
+_ESCAPED = bytes(range(0x20)) + b'"\\\x7f'
+
+
+def _text_size(text: str) -> int:
+    """Length of ``text`` as a JSON string literal, quotes included."""
+    if text.isascii() and len(text.encode("ascii").translate(None, _ESCAPED)) == len(text):
+        return len(text) + 2
+    return len(encode_basestring_ascii(text))
+
+
+def _json_len(value: Any) -> int:
+    """``len(_json_encode(value))`` by arithmetic, for ``dict`` (``str``
+    keys), ``list``, ``tuple``, ``str``, ``int``, ``float``, ``bool`` and
+    ``None`` of exactly those types; any other value raises ``TypeError``."""
+    kind = type(value)
+    if kind is dict:
+        if not value:
+            return 2
+        # Braces, ", " between items, ": " and the key's quotes per item,
+        # less the quotes of the one text all keys and str values are sized
+        # as (escaping is per code point; a non-str key fails the join).
+        size = 6 * len(value) - 2
+        texts = [*value]
+        for item in value.values():
+            kind = type(item)
+            if kind is str:
+                texts.append(item)
+                size += 2
+            elif kind is int:
+                size += len(int.__repr__(item))
+            else:
+                size += _json_len(item)
+        return size + _text_size("".join(texts))
+    if kind is list or kind is tuple:
+        return 2 * len(value) + sum(map(_json_len, value)) if value else 2
+    if kind is str:
+        return _text_size(value)
+    if kind is int:
+        return len(int.__repr__(value))
+    if kind is float:
+        if math.isfinite(value):
+            return len(float.__repr__(value))
+        return 3 if value != value else 8 if value > 0 else 9  # NaN, Infinity, -Infinity
+    if value is None:
+        return 4
+    if kind is bool:
+        return 4 if value else 5
+    raise TypeError(f"{kind!r} is not sized by arithmetic")
+
+
 def serialize_with_size(value: Any) -> tuple:
-    """One encode pass returning ``(encoded_or_None, size)``.
-
-    The producer hot path needs a record's size (batch accounting, broker
-    quota) *and* — when the batch is sealed to wire form — its encoded
-    bytes.  Computing the size via :func:`serialized_size` and then
-    encoding again in the wire packer serialized JSON values twice; this
-    helper encodes once and hands both answers back so the caller
-    (:meth:`EventRecord.size_bytes`) can cache the bytes for the packer.
-
-    For the cheap scalar cases where the size is derivable without an
-    encode (``bytes``/``str``/``bool``/``int``/``None``) the first element
-    is ``None`` and no encode happens — those types re-encode in O(len)
-    anyway, so caching would only burn memory.  Every other value, floats
-    included, is sized by its encode, so the size is the length of the
-    body the wire carries.
-    """
+    """``(None, len(serialize(value)))``, exact: the producer's sizing seam.
+    A value :func:`_json_len` knows is sized by arithmetic; any other (an
+    ``int`` subclass, a non-``str`` key, an object the encoder turns into
+    ``str``) is encoded once and the bytes are dropped.  No bytes come back:
+    a record sealed for the wire is encoded by the packer."""
     if value is None:
         return None, 0
     if isinstance(value, (bytes, bytearray)):
         return None, len(value)
     if isinstance(value, str):
-        return None, len(value.encode("utf-8"))
-    if isinstance(value, bool):
-        return None, 4 if value else 5
-    if type(value) is int:
-        return None, len(str(value))
-    encoded = serialize(value)
-    return encoded, len(encoded)
+        return None, len(value) if value.isascii() else len(value.encode("utf-8"))
+    try:
+        return None, _json_len(value)
+    except (TypeError, ValueError, RecursionError):
+        return None, len(serialize(value))
 
 
 def deserialize(payload: bytes) -> Any:
@@ -107,12 +148,6 @@ def deserialize(payload: bytes) -> Any:
 
 
 def serialized_size(value: Any) -> int:
-    """Size in bytes of ``value`` once serialized.
-
-    Cheap paths for bytes, str, bool, int and None avoid a JSON encode;
-    any other value is encoded to be sized.  Callers that may later need
-    the encoded bytes as well (the wire packer) should prefer
-    :func:`serialize_with_size`, which shares one encode pass between the
-    size computation and the encode instead of serializing twice.
-    """
+    """``len(serialize(value))``, mostly without an encode (see
+    :func:`serialize_with_size`)."""
     return serialize_with_size(value)[1]

@@ -39,7 +39,7 @@ from repro.common.sync import create_lock
 from repro.fabric.admin import AdminAuthorizer, FabricAdmin
 from repro.fabric.cluster import FabricCluster, FetchRequest, FetchSession
 from repro.fabric.errors import UnknownGroupError
-from repro.fabric.record import EventRecord, PackedRecordBatch, PackedView, StoredRecord
+from repro.fabric.record import NO_HEADERS, EventRecord, PackedRecordBatch, PackedView, StoredRecord
 from repro.fabric.topic import TopicConfig
 from repro.gateway import models
 from repro.gateway.errors import (
@@ -315,7 +315,7 @@ def produce(gateway: "Gateway", request: GatewayRequest, body: None) -> Any:
             EventRecord(
                 value=entry["value"],
                 key=entry.get("key"),
-                headers=entry.get("headers") or {},
+                headers=entry.get("headers") or NO_HEADERS,
                 timestamp=entry.get("timestamp", now),
             )
             for entry in req.records

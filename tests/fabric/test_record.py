@@ -1,8 +1,11 @@
 """Tests for event records, batches and serde."""
 
+import copy
 import datetime
 import decimal
+import enum
 import json
+import pickle
 import re
 
 import pytest
@@ -54,6 +57,94 @@ class TestEventRecord:
         parsed = json.loads(record.to_json())
         assert parsed["value"] == {"a": 1}
 
+    def test_record_keeps_only_its_fields_and_size(self):
+        record = EventRecord(value={"payload": "x" * 1000, "seq": 1})
+        record.size_bytes()
+        assert not hasattr(record, "__dict__")
+
+    def test_records_without_headers_share_one_read_only_mapping(self):
+        a, b = EventRecord(value=1), EventRecord(value=2)
+        assert a.headers is b.headers
+        assert a.headers == {}
+        with pytest.raises(TypeError):
+            a.headers["x"] = "y"
+        assert EventRecord(value=3).with_headers(x="y").headers == {"x": "y"}
+        assert b.headers == {}
+
+    def test_size_is_not_compared(self):
+        sized = EventRecord(value={"a": 1}, timestamp=1.0, record_id=7)
+        sized.size_bytes()
+        assert sized == EventRecord(value={"a": 1}, timestamp=1.0, record_id=7)
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                       lambda r: pickle.loads(pickle.dumps(r))])
+    def test_copies_keep_fields_and_size(self, clone):
+        for headers in ({}, {"h": "v"}):
+            record = EventRecord(value={"a": [1]}, key="k", headers=headers)
+            twin = clone(record)
+            assert twin == record and twin.record_id == record.record_id
+            assert twin.size_bytes() == record.size_bytes()
+
+
+class _IntSub(int):
+    """An int subclass: the encoder writes ``int.__repr__``."""
+
+
+class _FloatSub(float):
+    """A float subclass: the encoder writes ``float.__repr__``."""
+
+
+class _Level(enum.IntEnum):
+    HIGH = 7
+
+
+class _Opaque:
+    """Not JSON-encodable: the encoder falls back to ``str``."""
+
+    def __init__(self, text):
+        self.text = text
+
+    def __str__(self):
+        return f"opaque<{self.text}>"
+
+
+_DICT_KEYS = st.text() | st.integers() | st.floats() | st.booleans() | st.none()
+_JSON_LIKE = st.recursive(
+    _SCALARS
+    | st.builds(_Opaque, st.text())
+    | st.datetimes()
+    | st.decimals(allow_nan=False),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(_DICT_KEYS, children, max_size=4),
+    max_leaves=20,
+)
+
+
+def _outcome(encode, value):
+    try:
+        return encode(value)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+#: Strings the sizer must escape exactly: controls, DEL, quote, backslash,
+#: non-ASCII, astral and lone surrogates.
+_TRICKY_TEXT = st.text(st.sampled_from('a "\\\x00\x1f\x7f\n\té𝄞\ud800\udfff'))
+_ANY_JSON = st.recursive(
+    _SCALARS
+    | _TRICKY_TEXT
+    | st.integers(min_value=-(10**400), max_value=10**400)
+    | st.builds(_IntSub, st.integers())
+    | st.builds(_FloatSub, st.floats())
+    | st.sampled_from(_Level)
+    | st.builds(_Opaque, st.text()),
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=3).map(tuple)
+    | st.dictionaries(st.text() | _TRICKY_TEXT, children, max_size=4)
+    | st.dictionaries(_DICT_KEYS, children, max_size=3),
+    max_leaves=20,
+)
+
 
 class TestSizeAcrossTheWire:
     """A record's accounted size is the same in process and after a wire
@@ -74,6 +165,22 @@ class TestSizeAcrossTheWire:
         record = EventRecord(value=value, key=key, headers=headers)
         image = PackedRecordBatch.from_events([record]).seal_wire("none").to_bytes()
         assert record.size_bytes() == PackedRecordBatch.from_bytes(image).size_at(0)
+
+    @given(_ANY_JSON)
+    @example({"\x00\x1f\x7f": "\"\\\n", "é": "𝄞", "": ""})
+    @example([float("nan"), float("inf"), -float("inf"), 0.1, -0.0])
+    @example({"t": 1e16, "u": [1e-7, 5e-324, 1.7976931348623157e308, 123.0]})
+    @example([_FloatSub(2.5), {"f": _FloatSub(float("nan"))}])
+    @example([10**300, -(10**300), 10**5000])  # the last exceeds int's str limit
+    @example([True, 1, False, 0, None])
+    @example([_IntSub(5), _Level.HIGH, {"n": _IntSub(-3)}])
+    @example({1: "int key", True: "bool key", None: "none key", 0.5: "float key"})
+    @example({"a": 1, 2: "mixed key types"})
+    @example([{}, [], {"": []}, [[{}]], ()])
+    @example({"\ud800": ["\udc00"]})  # lone surrogates escape one by one
+    @example(_Opaque('"quoted"'))
+    def test_serialized_size_equals_serialized_length(self, value):
+        assert _outcome(serialized_size, value) == _outcome(lambda v: len(serialize(v)), value)
 
 
 class TestStoredRecord:
@@ -135,35 +242,6 @@ class TestSerde:
         assert serialized_size(12345) == 5
 
 
-class _Opaque:
-    """Not JSON-encodable: the encoder falls back to ``str``."""
-
-    def __init__(self, text):
-        self.text = text
-
-    def __str__(self):
-        return f"opaque<{self.text}>"
-
-
-_DICT_KEYS = st.text() | st.integers() | st.floats() | st.booleans() | st.none()
-_JSON_LIKE = st.recursive(
-    _SCALARS
-    | st.builds(_Opaque, st.text())
-    | st.datetimes()
-    | st.decimals(allow_nan=False),
-    lambda children: st.lists(children, max_size=4)
-    | st.dictionaries(_DICT_KEYS, children, max_size=4),
-    max_leaves=20,
-)
-
-
-def _outcome(encode, value):
-    try:
-        return encode(value)
-    except (TypeError, ValueError) as exc:
-        return type(exc)
-
-
 class TestPrebuiltEncoder:
     @given(_JSON_LIKE)
     @example(float("nan"))
@@ -185,9 +263,9 @@ class TestPrebuiltEncoder:
 
 
 class TestSingleEncodePass:
-    """The serde seam guarantees one JSON encode per record end to end:
-    ``size_bytes`` caches the encoded body and the wire packer reuses it,
-    so size accounting + sealing never serializes a value twice."""
+    """At most one JSON encode per record end to end: ``size_bytes`` sizes
+    a JSON value by arithmetic and keeps no bytes, and only sealing a
+    batch for the wire encodes, once per record."""
 
     @pytest.fixture
     def encode_counter(self, monkeypatch):
@@ -204,7 +282,9 @@ class TestSingleEncodePass:
         return counts
 
     def test_serialized_size_is_one_encode(self, encode_counter):
-        serialized_size({"a": 1, "nested": {"b": [1, 2, 3]}})
+        serialized_size({"a": 1, "t": True, "nested": {"b": [1, 2.5, None, "é"], "e": []}})
+        assert encode_counter["encodes"] == 0
+        serialized_size({"a": 1, "nested": {"b": [1, _IntSub(2), 3]}})
         assert encode_counter["encodes"] == 1
 
     def test_size_then_seal_is_one_encode_per_record(self, encode_counter):
@@ -215,10 +295,10 @@ class TestSingleEncodePass:
             for i in range(6)
         )
         for record in records:
-            record.size_bytes()  # producer accounting pays the encode...
-        assert encode_counter["encodes"] == len(records)
+            record.size_bytes()  # producer accounting encodes nothing...
+        assert encode_counter["encodes"] == 0
         packed = PackedRecordBatch.from_events(records, append_time=1.0)
-        packed.seal_wire("gzip").to_bytes()  # ...and sealing reuses it
+        packed.seal_wire("gzip").to_bytes()  # ...and sealing encodes each once
         assert encode_counter["encodes"] == len(records)
 
     def test_text_and_bytes_values_never_json_encode(self, encode_counter):
